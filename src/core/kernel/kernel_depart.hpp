@@ -23,18 +23,34 @@
 //     after a bounded attempt budget (contract_error when even that bin
 //     cannot cover the weight).
 //
-//   * random -- vectorized rejection sampling over resident load.  The
-//     acceptance bound freezes at the snapshot maximum B = base + span;
-//     per attempt, lane l consumes bounded(n) (a bin j) then bounded(B)
-//     (an acceptance draw u), and the attempt serves one departure iff
-//     u < remaining(j) -- acceptance against the *remaining* load embeds
-//     the capacity check and keeps the served distribution exactly
-//     proportional to remaining load.  Attempts are consumed in ball
-//     order until k are served; the unused tail of the final fixed-size
-//     attempt block is discarded (part of the declared draw order).
-//     Retires unit quanta only, like the serial channel.
+//   * random -- a block of k departures is a uniform k-subset of the
+//     snapshot's N = n * base + sum(offsets) resident load units (the
+//     multivariate hypergeometric law of k serial uniform departures with
+//     no arrival in between).  Two exact samplers, selected per block
+//     from (n, snapshot, k) alone:
+//       - dense, iff N <= 32 k and either alpha < 3/4 and n <= 2 k or
+//         alpha < 1/2 and n <= 8 k, alpha = N / (n * B) the rejection
+//         sampler's acceptance ratio (B = base + span): one scalar stream
+//         rng_t(derive_seed(seed, lanes))
+//         -- the stream one past the lanes, like the drain replay -- draws
+//         bounded(N) positions into an N-bit bitmap, discarding positions
+//         already marked, until k distinct units are marked; when 2k > N
+//         it marks the N - k units that STAY instead.  Bin i owns units
+//         [l_0 + ... + l_{i-1}, l_0 + ... + l_i), l_i = base + snap[i], and
+//         departs its marked units (or l_i minus its marked stayers).
+//       - rejection otherwise: the acceptance bound freezes at the
+//         snapshot maximum B; per attempt, lane l consumes bounded(n) (a
+//         bin j) then bounded(B) (an acceptance draw u), and the attempt
+//         serves one departure iff u < remaining(j) -- acceptance against
+//         the *remaining* load embeds the capacity check and keeps each
+//         departure uniform over the remaining units.  Attempts are
+//         consumed in ball order until k are served; the unused tail of
+//         the final fixed-size attempt block is discarded (part of the
+//         declared draw order).
+//     Both retire unit quanta only, like the serial channel, and need
+//     k <= N (contract_error otherwise).
 //
-// CONTRACT (mirroring kernel_run, enforced by tests/test_kernel.cpp): the
+// CONTRACT (mirroring kernel_run, enforced by tests/test_depart_kernel.cpp): the
 // per-bin departure counts are a pure function of (channel, lanes, n,
 // snapshot + base, weight, k, seed).  The ISA backend is execution-only
 // and bit-identical to the scalar reference; `lanes` is a sampling
@@ -71,7 +87,8 @@ enum class depart_channel : std::uint8_t {
 /// must be 1 for the random channel) -- the capacity fold guarantees
 /// snap_base + snap[i] - weight_per_ball * rel[i] stays non-negative for
 /// every bin, so the caller can apply the counts with
-/// load_state::apply_releases unguarded.  The uint16 overload is the
+/// load_state::apply_releases unguarded.  The random channel needs
+/// k <= the snapshot's resident load.  The uint16 overload is the
 /// shard-engine row (caller caps per-call departures like the allocation
 /// row cap); the uint32 overload serves whole serial blocks.
 void kernel_depart(kernel_isa isa, std::size_t lanes, depart_channel channel, bin_count n,

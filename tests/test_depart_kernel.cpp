@@ -7,20 +7,27 @@
 //       replay of the documented draw order (drain: bounded(n) pairs plus
 //       a raw tie draw, fuller-by-snapshot wins, drained-dry picks
 //       re-served from the dedicated replay stream; random: bounded(n) /
-//       bounded(B) attempt pairs accepted against remaining load),
+//       bounded(B) attempt pairs accepted against remaining load, or, on
+//       sparse snapshots, the dense sampler's distinct bounded(N) unit
+//       positions with the complement branch), the sampler selection on
+//       each side of every boundary, and the random channel's law (the
+//       multivariate hypergeometric) on both samplers,
 //   (2) every vector backend to the scalar backend, bit for bit,
 //       including the drain replay/fallback path and multi-block runs,
 //   (3) the capacity guarantee (no bin is ever overdrawn) and the count
 //       sum, so commit via load_state::apply_releases never trips,
-//   (4) golden FNV values per channel so the sampling contract cannot
-//       drift silently between releases,
+//   (4) golden FNV values per channel (and per random sampler) so the
+//       sampling contract cannot drift silently between releases,
 //   (5) the engines' batched-departure routing: ISA- and thread-count
 //       invariance, the bulk lease pop, and the warn_once diagnostics on
 //       every silent serial fallback (no commit_departures, undersized
 //       block, span-saturated snapshot).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -166,39 +173,224 @@ TEST(DepartKernel, ScalarWeightedDrainMatchesDocumentedDrawOrder) {
   }
 }
 
+/// An independent replay of the random channel's rejection sampler: per
+/// attempt, lane t % lanes draws bounded(n) (a bin) then bounded(B)
+/// (acceptance, B frozen at base + span); the attempt serves iff the draw
+/// lands under the bin's remaining load.  Valid within one attempt block
+/// of the driver; `attempts` reports how many the replay used.
+std::vector<std::uint32_t> rejection_reference(std::size_t lanes, bin_count n,
+                                               const std::vector<std::uint8_t>& snap,
+                                               load_t base, step_count k, std::uint64_t seed,
+                                               std::size_t& attempts) {
+  const std::uint64_t bound = static_cast<std::uint64_t>(base) + span_of(snap, n);
+  std::vector<rng_t> lane_rng;
+  for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(seed, l));
+  std::vector<std::uint32_t> rel(n, 0);
+  step_count served = 0;
+  attempts = 0;
+  while (served < k) {
+    rng_t& rng = lane_rng[attempts % lanes];
+    const auto j = static_cast<std::uint32_t>(bounded(rng, n));
+    const auto u = static_cast<weight_t>(bounded(rng, bound));
+    const weight_t rem = static_cast<weight_t>(base) + snap[j] - rel[j];
+    if (rem > 0 && u < rem) {
+      ++rel[j];
+      ++served;
+    }
+    ++attempts;
+  }
+  return rel;
+}
+
+/// An independent replay of the random channel's dense sampler: one
+/// scalar stream rng_t(derive_seed(seed, lanes)) draws bounded(N) unit
+/// positions, skipping repeats, until k distinct units are chosen -- or,
+/// when 2k > N, until the N - k units that STAY are chosen.  Unit u
+/// belongs to the bin whose cumulative-load range holds it.
+std::vector<std::uint32_t> dense_reference(std::size_t lanes, bin_count n,
+                                           const std::vector<std::uint8_t>& snap, load_t base,
+                                           step_count k, std::uint64_t seed) {
+  std::vector<std::uint64_t> ends;
+  std::uint64_t total = 0;
+  for (bin_count i = 0; i < n; ++i) {
+    total += static_cast<std::uint64_t>(base) + snap[i];
+    ends.push_back(total);
+  }
+  const bool stay = 2 * static_cast<std::uint64_t>(k) > total;
+  const std::uint64_t picks = stay ? total - static_cast<std::uint64_t>(k) : k;
+  rng_t rng(derive_seed(seed, lanes));
+  std::set<std::uint64_t> chosen;
+  while (chosen.size() < picks) chosen.insert(bounded(rng, total));
+  std::vector<std::uint32_t> rel(n, 0);
+  for (const std::uint64_t u : chosen) {
+    ++rel[std::upper_bound(ends.begin(), ends.end(), u) - ends.begin()];
+  }
+  if (stay) {
+    for (bin_count i = 0; i < n; ++i) rel[i] = static_cast<std::uint32_t>(base + snap[i]) - rel[i];
+  }
+  return rel;
+}
+
 TEST(DepartKernel, ScalarRandomMatchesDocumentedDrawOrder) {
-  // Per attempt, lane t % lanes draws bounded(n) (a bin) then bounded(B)
-  // (acceptance, B frozen at base + span); the attempt serves iff the
-  // draw lands under the bin's remaining load.  Valid within one attempt
-  // block; base >> k keeps acceptance near 1 so that holds by a mile.
+  // The rejection sampler (base >> k keeps the acceptance ratio near 1).
+  // The replay is valid within one attempt block; at this acceptance
+  // that holds by a mile.
   const bin_count n = 97;
   const std::size_t lanes = 4;
   const step_count k = 1000;
   const load_t base = 10000;
   const auto snap = make_snapshot(n);
-  const std::uint64_t bound = static_cast<std::uint64_t>(base) + span_of(snap, n);
-
-  std::vector<rng_t> lane_rng;
-  for (std::size_t l = 0; l < lanes; ++l) lane_rng.emplace_back(derive_seed(123, l));
-  std::vector<std::uint32_t> expected(n, 0);
-  step_count served = 0;
   std::size_t attempts = 0;
-  while (served < k) {
-    rng_t& rng = lane_rng[attempts % lanes];
-    const auto j = static_cast<std::uint32_t>(bounded(rng, n));
-    const auto u = static_cast<weight_t>(bounded(rng, bound));
-    const weight_t rem = static_cast<weight_t>(base) + snap[j] - expected[j];
-    if (rem > 0 && u < rem) {
-      ++expected[j];
-      ++served;
-    }
-    ++attempts;
-  }
+  const auto expected = rejection_reference(lanes, n, snap, base, k, 123, attempts);
   ASSERT_LT(attempts, 8000u) << "reference must stay within one attempt block";
 
   EXPECT_EQ(
       depart_counts(kernel_isa::scalar, lanes, depart_channel::random, n, snap, base, 1, k, 123),
       expected);
+}
+
+TEST(DepartKernel, ScalarDenseRandomMatchesDocumentedDrawOrder) {
+  // Sparse snapshots take the dense sampler: distinct bounded(N) unit
+  // positions on the stream one past the lanes, the complement branch
+  // when 2k > N, and a per-bin count over cumulative load ranges.
+  const bin_count n = 97;
+  // Base 0 under the cyclic offsets: average load ~2 against a bound of
+  // 4 (acceptance ratio ~1/2), N = 191.
+  const auto snap = make_snapshot(n);
+  step_count total = 0;
+  for (bin_count i = 0; i < n; ++i) total += snap[i];
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (const step_count k : {step_count{40}, step_count{95}, step_count{150}, total}) {
+      const auto expected = dense_reference(lanes, n, snap, 0, k, 99);
+      EXPECT_EQ(std::accumulate(expected.begin(), expected.end(), std::int64_t{0}), k);
+      EXPECT_EQ(depart_counts(kernel_isa::scalar, lanes, depart_channel::random, n, snap, 0, 1, k,
+                              99),
+                expected)
+          << "lanes=" << lanes << " k=" << k;
+    }
+  }
+  // Bins wider than a bitmap word: one bin in seven holds 200 units
+  // (N = 1600 over 50 bins, acceptance ratio 0.16).
+  std::vector<std::uint8_t> wide(50 + compact_snapshot::tail_padding, 0);
+  for (bin_count i = 0; i < 50; i += 7) wide[i] = 200;
+  for (const step_count k : {step_count{100}, step_count{1000}}) {
+    EXPECT_EQ(depart_counts(kernel_isa::scalar, 8, depart_channel::random, 50, wide, 0, 1, k, 7),
+              dense_reference(8, 50, wide, 0, k, 7))
+        << "k=" << k;
+  }
+}
+
+TEST(DepartKernel, RandomSamplerSelectionBoundaries) {
+  // Dense iff N <= 32 k and (4 N < 3 n B and n <= 2 k, or 2 N < n B and
+  // n <= 8 k).  Each pair below sits on both sides of one condition with
+  // the others satisfied; the counts must match the replay of the side's
+  // sampler, and the two replays must differ so the check has teeth.
+  struct side {
+    std::vector<std::uint8_t> offsets;
+    step_count k;
+    bool dense;
+  };
+  const auto repeat = [](const std::vector<std::uint8_t>& pattern, std::size_t times) {
+    std::vector<std::uint8_t> offsets;
+    for (std::size_t t = 0; t < times; ++t) {
+      offsets.insert(offsets.end(), pattern.begin(), pattern.end());
+    }
+    return offsets;
+  };
+  // One unit per bin under a single 4-unit peak: acceptance ratio ~1/4.
+  const auto flat = [](std::size_t bins) {
+    std::vector<std::uint8_t> offsets(bins, 1);
+    offsets[0] = 4;
+    return offsets;
+  };
+  auto just_under_half = repeat({4, 0}, 20);
+  just_under_half[38] = 3;
+  const std::vector<side> sides = {
+      // Acceptance ratio 3/4 at n = 2 k: 4 * 90 == 3 * 40 * 3 is not
+      // below, 4 * 80 is.
+      {repeat({3, 3, 3, 0}, 10), 20, false},
+      {repeat({3, 3, 2, 0}, 10), 20, true},
+      // Bins per departure at acceptance ratio 2/3: n = 40 > 2 * 19.
+      {repeat({3, 3, 2, 0}, 10), 19, false},
+      // Acceptance ratio 1/2 at n = 4 k: 2 * 80 == 40 * 4 is not below,
+      // 2 * 79 is.
+      {repeat({4, 0}, 20), 10, false},
+      {just_under_half, 10, true},
+      // Bins per departure at acceptance ratio ~1/4: n = 65 > 8 * 8,
+      // n = 64 <= 8 * 8.
+      {flat(65), 8, false},
+      {flat(64), 8, true},
+      // Units per departure: N = 1281 > 32 * 40, N = 1280 <= 32 * 40.
+      {{255, 255, 255, 255, 255, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 40, false},
+      {{255, 255, 255, 255, 255, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 40, true},
+  };
+  for (std::size_t c = 0; c < sides.size(); ++c) {
+    const auto n = static_cast<bin_count>(sides[c].offsets.size());
+    auto snap = sides[c].offsets;
+    snap.resize(n + compact_snapshot::tail_padding, 0);
+    const step_count k = sides[c].k;
+    std::size_t attempts = 0;
+    const auto rejection = rejection_reference(8, n, snap, 0, k, 2024, attempts);
+    const auto dense = dense_reference(8, n, snap, 0, k, 2024);
+    EXPECT_NE(rejection, dense) << "side " << c << " cannot tell the samplers apart";
+    for (const kernel_isa isa : supported_backends()) {
+      EXPECT_EQ(depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, k, 2024),
+                sides[c].dense ? dense : rejection)
+          << "side " << c << " " << kernel_isa_name(isa);
+    }
+  }
+}
+
+TEST(DepartKernel, RandomLawIsMultivariateHypergeometricOnBothSamplers) {
+  // A block of k random departures is a uniform k-subset of the N
+  // resident units, so bin i's count has mean k p_i and variance
+  // k p_i (1 - p_i) (N - k) / (N - 1), p_i = l_i / N.  One mixed-load
+  // snapshot (N = 251, acceptance ratio 0.31) meets every sampler by k:
+  // k = 7 fails N <= 32 k and takes rejection, k = 8 the dense sampler,
+  // k = 200 its complement branch.
+  const bin_count n = 8;
+  std::vector<std::uint8_t> snap = {0, 3, 7, 12, 25, 40, 64, 100};
+  snap.resize(n + compact_snapshot::tail_padding, 0);
+  const double total = 251.0;
+  const int runs = 20000;
+  for (const step_count k : {step_count{7}, step_count{8}, step_count{200}}) {
+    std::size_t attempts = 0;
+    const bool dense = k >= 8;
+    EXPECT_EQ(depart_counts(kernel_isa::scalar, 8, depart_channel::random, n, snap, 0, 1, k, 1),
+              dense ? dense_reference(8, n, snap, 0, k, 1)
+                    : rejection_reference(8, n, snap, 0, k, 1, attempts))
+        << "k=" << k << " must take the " << (dense ? "dense" : "rejection") << " sampler";
+    std::vector<double> sum(n, 0.0), sum2(n, 0.0), sum3(n, 0.0), sum4(n, 0.0);
+    for (int r = 0; r < runs; ++r) {
+      const auto rel = depart_counts(kernel_isa::scalar, 8, depart_channel::random, n, snap, 0, 1,
+                                     k, derive_seed(777, static_cast<std::uint64_t>(r)));
+      for (bin_count i = 0; i < n; ++i) {
+        const double x = rel[i];
+        sum[i] += x;
+        sum2[i] += x * x;
+        sum3[i] += x * x * x;
+        sum4[i] += x * x * x * x;
+      }
+    }
+    const double kk = static_cast<double>(k);
+    for (bin_count i = 0; i < n; ++i) {
+      const double p = snap[i] / total;
+      const double mean_law = kk * p;
+      const double var_law = kk * p * (1 - p) * (total - kk) / (total - 1);
+      const double mean = sum[i] / runs;
+      // Central moments from raw sums.
+      const double m2 = sum2[i] / runs - mean * mean;
+      const double m4 = sum4[i] / runs - 4 * mean * sum3[i] / runs +
+                        6 * mean * mean * sum2[i] / runs - 3 * mean * mean * mean * mean;
+      if (var_law == 0.0) {
+        EXPECT_EQ(sum[i], mean_law * runs) << "k=" << k << " bin " << i;
+        continue;
+      }
+      EXPECT_NEAR(mean, mean_law, 4.5 * std::sqrt(var_law / runs)) << "k=" << k << " bin " << i;
+      EXPECT_NEAR(m2, var_law, 4.5 * std::sqrt(std::max(m4 - m2 * m2, 0.0) / runs))
+          << "k=" << k << " bin " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -229,6 +421,60 @@ TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(DepartKernel, DenseRandomBackendsAndRowsAgree) {
+  // The dense sampler draws on one scalar stream on every backend; AVX2
+  // and AVX-512 count with hardware popcount, the rest portably.  Every
+  // backend must match the replay bit for bit, and the shard engine's
+  // uint16 row the serial uint32 row.  Shapes span one bitmap word to
+  // thousands, with and without the complement branch.
+  const auto isas = supported_backends();
+  for (const bin_count n : {7u, 97u, 4096u, 100003u}) {
+    const auto snap = make_snapshot(n);  // base 0: acceptance ratio ~1/2
+    step_count total = 0;
+    for (bin_count i = 0; i < n; ++i) total += snap[i];
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
+      for (const step_count k : {total / 4, total / 2 + 1, total - total / 4}) {
+        const auto reference = dense_reference(lanes, n, snap, 0, k, 4242);
+        for (const kernel_isa isa : isas) {
+          EXPECT_EQ(depart_counts(isa, lanes, depart_channel::random, n, snap, 0, 1, k, 4242),
+                    reference)
+              << kernel_isa_name(isa) << " n=" << n << " lanes=" << lanes << " k=" << k;
+          if (k > shard_deltas::max_row_count) continue;
+          std::vector<std::uint16_t> row16(n, 0);
+          kernel_depart(isa, lanes, depart_channel::random, n, snap.data(), 0, span_of(snap, n),
+                        1, row16.data(), k, 4242);
+          EXPECT_TRUE(std::equal(row16.begin(), row16.end(), reference.begin()))
+              << kernel_isa_name(isa) << " uint16 row, n=" << n << " lanes=" << lanes
+              << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(DepartKernel, DenseRandomFullDrainRetiresEveryUnit) {
+  // k = N departs every resident unit (the complement branch marks no
+  // stayers): each bin's count is exactly its snapshot load, on every
+  // backend.  One more departure than N refuses loudly instead of
+  // looping on an empty snapshot.
+  const bin_count n = 97;
+  const auto snap = make_snapshot(n);
+  step_count total = 0;
+  for (bin_count i = 0; i < n; ++i) total += snap[i];
+  for (const kernel_isa isa : supported_backends()) {
+    const auto rel = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, total, 3);
+    for (bin_count i = 0; i < n; ++i) {
+      EXPECT_EQ(rel[i], snap[i]) << kernel_isa_name(isa) << " bin " << i;
+    }
+    try {
+      (void)depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, total + 1, 3);
+      FAIL() << "departing past the resident load must throw (" << kernel_isa_name(isa) << ")";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos) << e.what();
     }
   }
 }
@@ -365,6 +611,29 @@ TEST(DepartKernel, GoldenContractRegression) {
     EXPECT_EQ(std::accumulate(random.begin(), random.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
     EXPECT_EQ(fnv_of(random), 14558517916894183099ULL) << kernel_isa_name(isa);
+  }
+}
+
+TEST(DepartKernel, GoldenDenseRandomRegression) {
+  // The random channel's dense sampler on a sparse snapshot (n 10007,
+  // base 0, lanes 8, seed 42): k 5000 marks departing units, k 15000
+  // (over half of N = 20011) marks the stayers.  Frozen FNV-1a folds,
+  // hit by every compiled backend directly.
+  const bin_count n = 10007;
+  const auto snap = make_snapshot(n);
+  const auto fnv_of = [](const std::vector<std::uint32_t>& counts) {
+    std::uint64_t fnv = 0xCBF29CE484222325ULL;
+    for (const std::uint32_t c : counts) {
+      fnv ^= c;
+      fnv *= 0x100000001B3ULL;
+    }
+    return fnv;
+  };
+  for (const kernel_isa isa : supported_backends()) {
+    const auto departing = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, 5000, 42);
+    EXPECT_EQ(fnv_of(departing), 3810973258842324073ULL) << kernel_isa_name(isa);
+    const auto staying = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, 15000, 42);
+    EXPECT_EQ(fnv_of(staying), 10402463800640982009ULL) << kernel_isa_name(isa);
   }
 }
 

@@ -49,7 +49,9 @@ TEST_F(HugepageTest, EnabledAdviceIsCountedOnLinux) {
   // exactly one of the counters moves.
   EXPECT_EQ(s.advised + s.failed, 1u);
   EXPECT_EQ(granted, s.advised == 1u);
-  if (!granted) EXPECT_NE(s.last_errno, 0);
+  if (!granted) {
+    EXPECT_NE(s.last_errno, 0);
+  }
 #else
   EXPECT_FALSE(granted);
   EXPECT_EQ(s.failed, 1u);

@@ -13,7 +13,13 @@ checkpoint files may remain.
 
 With --departures the registry-backed cells run as steady-state churn
 cells (warm-up + arrival/departure pairs), so the kill points also land
-mid-churn with the lease ring / occupancy counter in flight.
+mid-churn with the lease ring / occupancy counter in flight.  --churn sets
+their occupancy (0 = m) and --kernel their engine; with the kernel engine
+and cycles of at least 4096 events the departure blocks take the batched
+departure kernel, e.g. the random channel's dense sampler at low occupancy:
+
+    $ python3 tools/crash_fuzz.py --binary build/campaign --departures random \
+          --kernel auto --n 2000 --m-mult 4 --churn 2000
 
 Exit status 0 iff every trial produced byte-identical output.
 """
@@ -42,6 +48,10 @@ def campaign_cmd(binary, args, json_path, journal=None, resume=False):
     ]
     if args.departures != "none":
         cmd += ["--departures", args.departures]
+    if args.churn > 0:
+        cmd += ["--churn", str(args.churn)]
+    if args.kernel != "off":
+        cmd += ["--kernel", args.kernel]
     if journal is not None:
         cmd += ["--journal", journal, "--checkpoint-every", str(args.checkpoint_every)]
     if resume:
@@ -124,6 +134,12 @@ def main():
                         help="departure channel for the registry-backed cells "
                              "(none | random | lease | drain); non-none runs "
                              "them as steady-state churn cells")
+    parser.add_argument("--churn", type=int, default=0,
+                        help="steady-state occupancy of the churn cells "
+                             "(0 = m); needs --departures")
+    parser.add_argument("--kernel", default="off",
+                        help="campaign engine: off (serial) or a kernel ISA "
+                             "(scalar | sse2 | avx2 | avx512 | neon | auto)")
     parser.add_argument("--max-resumes", type=int, default=40)
     args = parser.parse_args()
 
@@ -133,11 +149,14 @@ def main():
         return 2
     # The campaign example sweeps 9 configs (6 noise-grid + 2 batch + 1
     # factory); kill points are drawn from the whole campaign's ball span.
-    # A churn cell's progress span is occupancy + 2 * events = 3m (the
-    # factory cell stays insertion-only at m), vs m for a plain cell.
-    per_cell = 3 * args.n * args.m_mult if args.departures != "none" \
-        else args.n * args.m_mult
-    args.total_balls = args.runs * (8 * per_cell + args.n * args.m_mult)
+    # A churn cell's progress span is occupancy + 2 * events, occupancy
+    # being --churn or m (the factory cell stays insertion-only at m), vs
+    # m for a plain cell.
+    if args.churn > 0 and args.departures == "none":
+        parser.error("--churn needs --departures")
+    m = args.n * args.m_mult
+    per_cell = (args.churn or m) + 2 * m if args.departures != "none" else m
+    args.total_balls = args.runs * (8 * per_cell + m)
     random.seed(args.seed)
 
     root = tempfile.mkdtemp(prefix="nb_crash_fuzz_")
