@@ -35,8 +35,7 @@ int run(int argc, const char* const* argv) {
                      [n] { return any_process(one_choice(n)); }, b});
   }
   stopwatch total;
-  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads, cfg.threads_per_run,
-                                 cfg.kernel_backend(), cfg.lanes);
+  const auto results = run_cells(cells, cfg.runs(), cfg.seed, cfg.threads, cfg.engine);
 
   const auto& published = paper_distributions();
   text_table batch_table({"b", "measured gap (b-Batch, m=1000n)", "paper"});

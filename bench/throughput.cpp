@@ -161,7 +161,7 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //   * kernel off      -- PR 1's serial fused step_many loop,
 //   * kernel scalar   -- the lane-interleaved kernel, portable backend,
 //   * kernel <simd>   -- the same kernel on every SIMD backend this CPU
-//                        supports (sse2 / avx2 / avx512 / neon;
+//                        supports (avx2 / avx512 / neon;
 //                        bit-identical to scalar by contract, verified
 //                        here run against run),
 //   * kernel-untuned  -- the best backend with software prefetch and
@@ -328,7 +328,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
     scale_entry entry =
         time_scale_leg("shard", kernel_isa_name(engine.isa()), t, n, m, interval, seed, counters,
                        [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-                         step_many_parallel(p, rng, chunk, engine);
+                         engine.step_many(p, rng, chunk);
                        });
     // Per-leg parity replay: 1 worker, scalar backend, same (seed,
     // shards, lanes) sampling contract.
@@ -336,7 +336,7 @@ void run_threads_matrix(bin_count n, step_count m, step_count interval,
         .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
     const auto replay = scale_observed_run(
         n, m, interval, seed, [&replay_engine](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_parallel(p, rng, chunk, replay_engine);
+          replay_engine.step_many(p, rng, chunk);
         });
     if (replay.loads != entry.run.loads || replay.sink != entry.run.sink) {
       std::printf("DETERMINISM FAILURE: %zu-thread %s leg diverged from its 1-thread "
@@ -399,9 +399,7 @@ void run_workers_matrix(bin_count n, step_count total_m,
     opt.repeats = 1;
     opt.seed = seed;
     opt.threads = w;
-    opt.use_kernel = true;
-    opt.lanes = lanes;
-    opt.isa = g_isa_request;
+    opt.engine = engine_config{.use_kernel = true, .lanes = lanes, .isa = g_isa_request};
     perf_counter_set counters;
     const hugepage_stats_t hp_before = hugepage_stats();
     counters.start();
@@ -454,7 +452,7 @@ double measure_checkpoint_overhead(bin_count n, step_count m, step_count every,
     return time_median_of(kWarmup, kReps, [&] {
       any_process process = make_process(spec);
       rng_t rng(seed);
-      run_engine engine((engine_options{}));
+      run_engine engine((engine_config{}));
       (void)run_checkpointed(process, m, rng, engine, cadence, [&](step_count) {
         write_checkpoint_file(path,
                               capture_checkpoint(process, rng, engine.fingerprint(), 0, seed));
@@ -524,7 +522,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
   } else {  // auto
     backends = {kernel_isa::scalar};
     for (const kernel_isa isa :
-         {kernel_isa::sse2, kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
+         {kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
       if (kernel_isa_supported(isa)) backends.push_back(isa);
     }
   }
@@ -535,7 +533,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     results.push_back(time_scale_leg(
         "kernel", kernel_isa_name(engine.isa()), 1, n, m, interval, seed, counters,
         [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_kernel(p, rng, chunk, engine);
+          engine.step_many(p, rng, chunk);
         }));
   }
 
@@ -555,7 +553,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     const kernel_tuning tuned_cfg = current_kernel_tuning();
     kernel_engine engine(kernel_options{.lanes = lanes, .isa = backends.back()});
     const auto move = [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-      step_many_kernel(p, rng, chunk, engine);
+      engine.step_many(p, rng, chunk);
     };
     scale_entry entry;
     entry.kernel = "kernel-untuned";
@@ -643,7 +641,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       "shard", kernel_isa_name(engine.isa()), engine.threads(), n, m, interval, seed,
       shard_counters,
       [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-        step_many_parallel(p, rng, chunk, engine);
+        engine.step_many(p, rng, chunk);
       }));
   const scale_entry shard = results.back();  // copy: the alias leg below may reallocate
   std::printf("  shard vs fused        %14.2fx on %u hardware cores\n",
@@ -757,15 +755,15 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         b_batch warmed(n, cycle);
         warmed.set_model(make_model("unit", "uniform", n, channel));
         rng_t warm_rng(seed);
-        step_many_kernel(warmed, warm_rng, occupancy, engine);
+        engine.step_many(warmed, warm_rng, occupancy);
         churn_counters.start();
         leg.timing = time_median_of(kWarmup, kReps, [&] {
           b_batch p = warmed;
           rng_t rng = warm_rng;
           for (step_count served = 0; served < churn_pairs;) {
             const step_count k = std::min(cycle, churn_pairs - served);
-            step_many_kernel(p, rng, k, engine);
-            depart_many_kernel(p, rng, k, engine);
+            engine.step_many(p, rng, k);
+            engine.depart_many(p, rng, k);
             served += k;
           }
           const auto& s = p.state();
@@ -804,7 +802,7 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         .threads = 1, .shards = shards, .lanes = lanes, .isa = kernel_isa::scalar});
     const auto replay = scale_observed_run(
         n, m, interval, seed, [&engine1](b_batch& p, rng_t& rng, step_count chunk) {
-          step_many_parallel(p, rng, chunk, engine1);
+          engine1.step_many(p, rng, chunk);
         });
     identical = replay.loads == shard.run.loads && replay.sink == shard.run.sink;
     if (!identical) {
@@ -834,8 +832,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     // regression gate uses this to skip (with notice) baseline legs whose
     // ISA a fresh runner cannot reproduce, instead of failing them.
     std::string supported_isas;
-    for (const kernel_isa isa : {kernel_isa::scalar, kernel_isa::sse2, kernel_isa::avx2,
-                                 kernel_isa::avx512, kernel_isa::neon}) {
+    for (const kernel_isa isa :
+         {kernel_isa::scalar, kernel_isa::avx2, kernel_isa::avx512, kernel_isa::neon}) {
       if (!kernel_isa_supported(isa)) continue;
       if (!supported_isas.empty()) supported_isas += ", ";
       supported_isas += '"';
@@ -999,8 +997,8 @@ int main(int argc, char** argv) {
                  "scale-benchmark kernel legs: scalar | simd | auto (auto = compare "
                  "scalar against every SIMD backend this CPU supports)");
   cli.add_string("isa", "",
-                 "force one kernel ISA backend for every scale leg (scalar | sse2 | avx2 "
-                 "| avx512 | neon; \"\" = auto-detect; unsupported requests warn once and "
+                 "force one kernel ISA backend for every scale leg (scalar | avx2 | "
+                 "avx512 | neon; \"\" = auto-detect; unsupported requests warn once and "
                  "fall back)");
   cli.add_bool("hugepages", false,
                "request transparent-huge-page backing for the load array and compact "

@@ -88,17 +88,8 @@ int main(int argc, char** argv) {
     opt.churn_telemetry_every = static_cast<step_count>(model.churn.telemetry);
 
     const engine_flag_values engine_flags = get_engine_flags(cli);
-    const auto backend = kernel_isa_from_name(engine_flags.kernel);
-    NB_REQUIRE(engine_flags.kernel == "off" || backend.has_value(),
-               "--kernel must be off, scalar, sse2, avx2, avx512, neon, auto or simd");
+    opt.engine = engine_config_from_flags(engine_flags);
     if (engine_flags.hugepages) set_hugepages_enabled(true);
-    engine_config engine;
-    engine.threads_per_run = static_cast<std::size_t>(engine_flags.threads_per_run);
-    engine.shards = static_cast<std::size_t>(engine_flags.shards);
-    engine.use_kernel = backend.has_value() && engine.threads_per_run == 0;
-    engine.lanes = static_cast<std::size_t>(engine_flags.lanes);
-    engine.isa = backend.value_or(kernel_isa::auto_detect);
-    opt.set_engine(engine);
 
     const auto campaign = run_campaign(configs, opt);
 

@@ -65,8 +65,6 @@ std::uint8_t tuning_byte() noexcept {
 kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_avx2;
     case kernel_isa::avx512:
@@ -122,8 +120,6 @@ void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t
 kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_alias_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_alias_avx2;
     case kernel_isa::avx512:
@@ -187,7 +183,6 @@ kernel_isa detect_kernel_isa() noexcept {
     return kernel_isa::avx512;
   }
   if (__builtin_cpu_supports("avx2")) return kernel_isa::avx2;
-  if (__builtin_cpu_supports("sse2")) return kernel_isa::sse2;
 #elif defined(__aarch64__)
   return kernel_isa::neon;  // AdvSIMD is architecturally mandatory on aarch64
 #endif
@@ -199,12 +194,6 @@ bool kernel_isa_supported(kernel_isa isa) noexcept {
     case kernel_isa::scalar:
     case kernel_isa::auto_detect:
       return true;
-    case kernel_isa::sse2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
     case kernel_isa::avx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -247,8 +236,6 @@ const char* kernel_isa_name(kernel_isa isa) noexcept {
   switch (isa) {
     case kernel_isa::scalar:
       return "scalar";
-    case kernel_isa::sse2:
-      return "sse2";
     case kernel_isa::avx2:
       return "avx2";
     case kernel_isa::avx512:
@@ -263,7 +250,6 @@ const char* kernel_isa_name(kernel_isa isa) noexcept {
 
 std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept {
   if (name == "scalar") return kernel_isa::scalar;
-  if (name == "sse2") return kernel_isa::sse2;
   if (name == "avx2") return kernel_isa::avx2;
   if (name == "avx512") return kernel_isa::avx512;
   if (name == "neon") return kernel_isa::neon;

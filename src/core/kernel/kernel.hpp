@@ -20,7 +20,7 @@
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
 // a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
-// set backend -- scalar, SSE2, AVX2, AVX-512 or NEON, selected at runtime
+// set backend -- scalar, AVX2, AVX-512 or NEON, selected at runtime
 // -- is execution only and NEVER affects results; `lanes` is a sampling
 // parameter exactly like shard_options::shards (changing it changes which
 // lane streams exist and therefore the drawn randomness).  The same holds
@@ -47,7 +47,6 @@ namespace nb {
 /// bench JSON both use the names), so the enum may grow freely.
 enum class kernel_isa : std::uint8_t {
   scalar = 0,       ///< portable reference (defines the contract)
-  sse2 = 1,         ///< 2 lanes per vector (x86-64 baseline)
   avx2 = 2,         ///< 4 lanes per vector + hardware gathers
   avx512 = 3,       ///< 8 lanes per vector, masked rejection replay
   neon = 4,         ///< aarch64 baseline: vector RNG/Lemire, scalar gathers
@@ -71,7 +70,7 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// --isa that silently fell back is visible, not just legal.
 [[nodiscard]] kernel_isa resolve_kernel_isa(kernel_isa requested) noexcept;
 
-/// "scalar" / "sse2" / "avx2" / "avx512" / "neon" / "auto".
+/// "scalar" / "avx2" / "avx512" / "neon" / "auto".
 [[nodiscard]] const char* kernel_isa_name(kernel_isa isa) noexcept;
 
 /// Inverse of kernel_isa_name, plus the aliases "simd" (= auto_detect)
@@ -119,7 +118,7 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// Same hard contract as kernel_run with the table joining the pure-
 /// function inputs: counts depend only on (lanes, n, snap, thresh, alias,
 /// balls, seed); backends are bit-identical (AVX2 gathers the tables and
-/// the snapshot; SSE2 vectorizes the draw generation and picks scalar --
+/// the snapshot; NEON vectorizes the draw generation and picks scalar --
 /// table lookups without hardware gathers don't pay).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,

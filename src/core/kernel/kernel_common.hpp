@@ -132,8 +132,6 @@ using fill_fn = void (*)(lane_soa& st, bin_count n, std::uint64_t threshold,
 void fill_scalar(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                  std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_sse2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
 void fill_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                std::uint32_t* chosen, std::size_t balls, kernel_tuning tune);
 void fill_avx512(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
@@ -207,9 +205,6 @@ void fill_alias_scalar(lane_soa& st, bin_count n, std::uint64_t threshold,
                        const bin_index* alias, std::uint32_t* chosen, std::size_t balls,
                        kernel_tuning tune);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_alias_sse2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-                     const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning tune);
 void fill_alias_avx2(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
                      std::size_t balls, kernel_tuning tune);
@@ -262,9 +257,6 @@ void fill_pair_scalar(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uin
                       std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
                       std::size_t count, kernel_tuning tune);
 #if defined(__x86_64__) || defined(__i386__)
-void fill_pair_sse2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
-                    std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
-                    std::size_t count, kernel_tuning tune);
 void fill_pair_avx2(lane_soa& st, std::uint64_t b1, std::uint64_t t1, std::uint64_t b2,
                     std::uint64_t t2, std::uint32_t* out1, std::uint32_t* out2,
                     std::size_t count, kernel_tuning tune);

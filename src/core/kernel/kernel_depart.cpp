@@ -35,8 +35,6 @@ constexpr int kDrainReplayAttempts = 4096;
 kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_avx2;
     case kernel_isa::avx512:
@@ -54,8 +52,6 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
 kernel_detail::fill_pair_fn pick_fill_pair(kernel_isa resolved) noexcept {
   switch (resolved) {
 #if defined(__x86_64__) || defined(__i386__)
-    case kernel_isa::sse2:
-      return kernel_detail::fill_pair_sse2;
     case kernel_isa::avx2:
       return kernel_detail::fill_pair_avx2;
     case kernel_isa::avx512:

@@ -12,7 +12,7 @@
 //     bin by snapshot offset wins (tie bit set -> first index).  That is
 //     the allocation kernel's canonical min-select over the byte-INVERTED
 //     snapshot (255 - off[i]) with identical tie semantics, so every
-//     fill backend -- scalar, SSE2, AVX2, AVX-512, NEON -- is reused
+//     fill backend -- scalar, AVX2, AVX-512, NEON -- is reused
 //     verbatim and cross-backend bit-identity is inherited, not re-proven.
 //     At fold time the chosen bin's *remaining* load (snapshot load minus
 //     this call's own departures) must still cover the per-ball weight; a

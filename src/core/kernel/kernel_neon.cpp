@@ -2,16 +2,15 @@
 // compile-time selected on aarch64 (AdvSIMD is architecturally mandatory
 // there, so no runtime feature test or target attribute is needed).
 //
-// Same split as the SSE2 backend: the arithmetic-heavy half -- the
-// xoshiro256++ steps and the Lemire multiply-shift (vmull_u32 on the
-// narrowed 32-bit halves gives the 96-bit product decomposition) -- runs
-// vectorized, the snapshot loads stay scalar (no gathers on NEON), and
-// the min-select runs on 32-bit NEON lanes.  Unlike SSE2's coarse
-// "any high dword zero" superset, NEON has unsigned 64-bit compares
-// (vcltq_u64), so the rejection test is EXACT: a group only leaves the
-// vector path on a true Lemire rejection (~2^-32 per draw), a remainder
-// lane, or the trailing partial round -- all through the shared scalar
-// queue replay, preserving the per-lane draw order bit for bit.
+// The arithmetic-heavy half -- the xoshiro256++ steps and the Lemire
+// multiply-shift (vmull_u32 on the narrowed 32-bit halves gives the
+// 96-bit product decomposition) -- runs vectorized, the snapshot loads
+// stay scalar (no gathers on NEON), and the min-select runs on 32-bit
+// NEON lanes.  NEON has unsigned 64-bit compares (vcltq_u64), so the
+// rejection test is EXACT: a group only leaves the vector path on a true
+// Lemire rejection (~2^-32 per draw), a remainder lane, or the trailing
+// partial round -- all through the shared scalar queue replay, preserving
+// the per-lane draw order bit for bit.
 //
 // NEON shift/rotate immediates must be compile-time constants, hence the
 // template<int K> rotate.
@@ -129,8 +128,8 @@ void fill_neon_impl(lane_soa& st, bin_count n, std::uint64_t threshold, const st
 }
 
 /// Alias-sampled fill: vector RNG + Lemire for the five draws per 2-lane
-/// group, scalar table lookups (alias_pick) and decision -- the same
-/// split as the SSE2 alias path, with NEON's exact rejection test.
+/// group, scalar table lookups (alias_pick) and decision, with the
+/// uniform path's exact rejection test.
 void fill_alias_neon_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
                           const std::uint8_t* snap, const std::uint64_t* thresh,
                           const bin_index* alias, std::uint32_t* chosen, std::size_t balls) {

@@ -364,7 +364,7 @@ inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
 // randomness, so serial-vs-parallel agreement is distributional, not
 // bitwise; tests enforce both contracts.
 //
-// The chunk pattern handed to step_many_parallel is also part of the
+// The chunk pattern handed to an engine's step_many is also part of the
 // sampling contract: a call boundary inside a window splits it into two
 // smaller windows (two tokens).  Cuts on window boundaries -- the natural
 // checkpoint cadence, e.g. every b balls for b-Batch -- leave the window
@@ -450,7 +450,88 @@ void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
   }
 }
 
+/// The random-weight fallback at the top of both engines' step_many:
+/// RNG-drawn ball weights cannot ride the count-merging window path (a
+/// merged per-bin count row cannot reconstruct which weight draw landed
+/// where), so such runs take the serial fused loop -- accepted but
+/// ineffective, said once under "<engine>-weighted/<process>".  `knob`
+/// names the option that asked for the engine.  Returns true when it ran
+/// the balls.
+template <typename P>
+bool serial_for_random_weights(P& process, rng_t& rng, step_count count, const char* engine,
+                               const char* knob) {
+  if constexpr (modeled_process<P>) {
+    if (process.model().weighting.is_random()) {
+      warn_once(std::string(engine) + "-weighted/" + process.name(),
+                std::string(knob) + " has no effect on process '" + process.name() +
+                    "' with random ball weighting " + process.model().weighting.label() +
+                    ": merged count rows cannot carry per-ball weight draws; "
+                    "running the serial fused loop instead");
+      nb::step_many(process, rng, count);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The departure routing shared by both engines' depart_many.  Processes
+/// without commit_departures (with a one-time diagnostic) and the 'none'
+/// channel (whose per-event law raises the configuration error) take the
+/// serial per-event loop; the lease channel is RNG-free ring popping and
+/// commits the whole block at once.  Drain/random blocks are cut at `cap`
+/// (deterministically, like walk_windows); a block under `min_window` or
+/// shorter than n/4 events (the per-block O(n) snapshot would not
+/// amortize), or one for which `block(process, k)` reports span-saturated
+/// live loads by returning false, falls back to the serial per-event loop
+/// with a one-time diagnostic.  `block` is generic so it is only
+/// instantiated for batch-departable processes.
+template <typename P, typename Block>
+  requires departable_process<P>
+void route_departures(P& process, rng_t& rng, step_count count, step_count cap,
+                      step_count min_window, const Block& block) {
+  NB_ASSERT(count >= 0);
+  if (count == 0) return;
+  if constexpr (!batch_departable<P>) {
+    warn_once("depart-engine/" + process.name(),
+              "batched departures have no effect on process '" + process.name() +
+                  "': it has no commit_departures (batch_departable); "
+                  "running the serial per-event loop instead");
+    nb::depart_many(process, rng, count);
+  } else {
+    const departure_model& departures = process.model().departures;
+    if (departures.is_none()) {
+      nb::depart_many(process, rng, count);
+      return;
+    }
+    if (departures.is_lease()) {
+      process.commit_departures({}, count);
+      return;
+    }
+    const auto n = static_cast<step_count>(process.state().n());
+    while (count > 0) {
+      const step_count k = count < cap ? count : cap;
+      if (k < min_window || k * 4 < n) {
+        warn_once("depart-engine-window/" + process.name(),
+                  "batched departures fall back to the serial per-event loop on process '" +
+                      process.name() +
+                      "': departure blocks under min_window (or shorter than n/4 events) "
+                      "cannot amortize the per-block snapshot");
+        nb::depart_many(process, rng, k);
+      } else if (!block(process, k)) {
+        warn_once("depart-engine-span/" + process.name(),
+                  "batched departures fall back to the serial per-event loop on process '" +
+                      process.name() +
+                      "': the live load span exceeds the compact snapshot's 8-bit range");
+        nb::depart_many(process, rng, k);
+      }
+      count -= k;
+    }
+  }
+}
+
 }  // namespace engine_detail
+
+class any_process;
 
 /// Configuration for intra-run shard parallelism.  `shards` is part of the
 /// sampling contract (changing it changes which substreams exist and hence
@@ -522,20 +603,9 @@ class shard_engine {
                     "running the serial fused loop instead");
       nb::step_many(process, rng, count);
     } else {
-      if constexpr (modeled_process<P>) {
-        // RNG-drawn ball weights cannot ride the count-merging window
-        // path: a merged per-bin count row cannot reconstruct which
-        // weight draw landed where.  Accepted but ineffective, exactly
-        // like the no-window trap above -- say so once.
-        if (process.model().weighting.is_random()) {
-          warn_once("shard-engine-weighted/" + process.name(),
-                    "threads_per_run has no effect on process '" + process.name() +
-                        "' with random ball weighting " + process.model().weighting.label() +
-                        ": merged count rows cannot carry per-ball weight draws; "
-                        "running the serial fused loop instead");
-          nb::step_many(process, rng, count);
-          return;
-        }
+      if (engine_detail::serial_for_random_weights(process, rng, count, "shard-engine",
+                                                   "threads_per_run")) {
+        return;
       }
       // Cap parallel windows so even a shard that routed every one of its
       // balls into a single bin cannot overflow a 16-bit delta row; the
@@ -560,6 +630,11 @@ class shard_engine {
     }
   }
 
+  /// Type-erased entry point: one virtual call per chunk, then the
+  /// template path above on the wrapped concrete type -- the same
+  /// windows, draws and diagnostics as calling it on that type directly.
+  void step_many(any_process& process, rng_t& rng, step_count count);
+
   /// Serves `count` departure events through `process`, shard-parallel:
   /// each sufficiently large drain/random block snapshots the live loads,
   /// splits its events across the fixed shard set (shard s serves its
@@ -571,57 +646,23 @@ class shard_engine {
   /// capacity and re-serves the deficit from the dedicated scalar stream
   /// rng_t(derive_seed(token, shards)) under the serial channel law over
   /// remaining loads -- deterministic, and thread-count invariant exactly
-  /// like step_many (threads only execute shards).  The lease channel
-  /// commits in bulk unconditionally (RNG-free); undersized blocks and
-  /// span-saturated loads fall back to the serial per-event loop with a
-  /// one-time diagnostic.
+  /// like step_many (threads only execute shards).  Everything else is
+  /// engine_detail::route_departures: the lease channel commits in bulk
+  /// (RNG-free); undersized blocks and span-saturated loads fall back to
+  /// the serial per-event loop with a one-time diagnostic.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
-    NB_ASSERT(count >= 0);
-    if (count == 0) return;
-    if constexpr (!batch_departable<P>) {
-      warn_once("depart-engine/" + process.name(),
-                "batched departures have no effect on process '" + process.name() +
-                    "': it has no commit_departures (batch_departable); "
-                    "running the serial per-event loop instead");
-      nb::depart_many(process, rng, count);
-    } else {
-      const departure_model& departures = process.model().departures;
-      if (departures.is_none()) {
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      if (departures.is_lease()) {
-        merged_.clear();
-        process.commit_departures(merged_, count);
-        return;
-      }
-      const auto n = static_cast<step_count>(process.state().n());
-      // Same uint16-row overflow cap as arrival windows: chunk oversized
-      // blocks deterministically (depends only on the shard count).
-      const step_count cap =
-          static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
-      while (count > 0) {
-        const step_count k = count < cap ? count : cap;
-        if (k < opt_.min_window || k * 4 < n) {
-          warn_once("depart-engine-window/" + process.name(),
-                    "batched departures fall back to the serial per-event loop on process '" +
-                        process.name() +
-                        "': departure blocks under min_window (or shorter than n/4 events) "
-                        "cannot amortize the per-block snapshot");
-          nb::depart_many(process, rng, k);
-        } else if (!depart_block(process, rng, k)) {
-          warn_once("depart-engine-span/" + process.name(),
-                    "batched departures fall back to the serial per-event loop on process '" +
-                        process.name() +
-                        "': the live load span exceeds the compact snapshot's 8-bit range");
-          nb::depart_many(process, rng, k);
-        }
-        count -= k;
-      }
-    }
+    // Same uint16-row overflow cap as arrival windows: chunk oversized
+    // blocks deterministically (depends only on the shard count).
+    const step_count cap = static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
+    engine_detail::route_departures(
+        process, rng, count, cap, opt_.min_window,
+        [&](auto& batched, step_count k) { return depart_block(batched, rng, k); });
   }
+
+  /// Type-erased entry point (see the step_many overload).
+  void depart_many(any_process& process, rng_t& rng, step_count count);
 
  private:
   /// One shard-parallel departure block of `k` events; false when the
@@ -937,19 +978,9 @@ class kernel_engine {
                     "running the serial fused loop instead");
       nb::step_many(process, rng, count);
     } else {
-      if constexpr (modeled_process<P>) {
-        // Same merged-count limitation as the shard engine: random ball
-        // weights force the serial fused loop.  One-time diagnostic so
-        // the silent fallback is visible.
-        if (process.model().weighting.is_random()) {
-          warn_once("kernel-engine-weighted/" + process.name(),
-                    "use_kernel has no effect on process '" + process.name() +
-                        "' with random ball weighting " + process.model().weighting.label() +
-                        ": merged count rows cannot carry per-ball weight draws; "
-                        "running the serial fused loop instead");
-          nb::step_many(process, rng, count);
-          return;
-        }
+      if (engine_detail::serial_for_random_weights(process, rng, count, "kernel-engine",
+                                                   "use_kernel")) {
+        return;
       }
       // No row-width cap needed: whole windows accumulate into uint32
       // counters and a run is bounded by max_run_balls anyway.  Serial
@@ -982,69 +1013,54 @@ class kernel_engine {
     }
   }
 
+  /// Type-erased entry point: one virtual call per chunk, then the
+  /// template path above on the wrapped concrete type.
+  void step_many(any_process& process, rng_t& rng, step_count count);
+
   /// Serves `count` departure events through `process`.  Sufficiently
   /// large drain/random blocks run the SIMD departure kernel against a
   /// snapshot of the LIVE loads (departures need no frozen window of
   /// their own -- the block freezes its snapshot at the block start, so
   /// windowless processes batch too) with one master-stream token per
-  /// block, exactly the step_many cadence; the lease channel is RNG-free
-  /// ring popping and commits in bulk unconditionally.  Undersized blocks
-  /// and span-saturated loads fall back to the serial per-event loop with
-  /// a one-time diagnostic -- like every engine fallback, accepted but
-  /// ineffective is something the caller must hear about.
+  /// block, exactly the step_many cadence.  Everything else is
+  /// engine_detail::route_departures: the lease channel commits in bulk
+  /// (RNG-free); undersized blocks and span-saturated loads fall back to
+  /// the serial per-event loop with a one-time diagnostic -- like every
+  /// engine fallback, accepted but ineffective is something the caller
+  /// must hear about.
   template <single_steppable P>
     requires departable_process<P>
   void depart_many(P& process, rng_t& rng, step_count count) {
-    NB_ASSERT(count >= 0);
-    if (count == 0) return;
-    if constexpr (!batch_departable<P>) {
-      warn_once("depart-engine/" + process.name(),
-                "batched departures have no effect on process '" + process.name() +
-                    "': it has no commit_departures (batch_departable); "
-                    "running the serial per-event loop instead");
-      nb::depart_many(process, rng, count);
-    } else {
-      const departure_model& departures = process.model().departures;
-      if (departures.is_none()) {
-        // Let the per-event law raise its configuration error.
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      if (departures.is_lease()) {
-        rel_.clear();
-        process.commit_departures(rel_, count);
-        return;
-      }
-      const bin_count n = process.state().n();
-      if (count < opt_.min_window || count * 4 < static_cast<step_count>(n)) {
-        warn_once("depart-engine-window/" + process.name(),
-                  "batched departures fall back to the serial per-event loop on process '" +
-                      process.name() +
-                      "': departure blocks under min_window (or shorter than n/4 events) "
-                      "cannot amortize the per-block snapshot");
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      if (!snapshot_.assign(process.state().loads())) {
-        warn_once("depart-engine-span/" + process.name(),
-                  "batched departures fall back to the serial per-event loop on process '" +
-                      process.name() +
-                      "': the live load span exceeds the compact snapshot's 8-bit range");
-        nb::depart_many(process, rng, count);
-        return;
-      }
-      const bool drain = departures.departure_kind() == departure_model::kind::drain;
-      const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
-      const std::uint64_t token = rng.next();
-      rel_.assign(n, 0);
-      kernel_depart(isa_, opt_.lanes, drain ? depart_channel::drain : depart_channel::random, n,
-                    snapshot_.data(), snapshot_.base(), snapshot_.max_off(), w, rel_.data(),
-                    count, token);
-      process.commit_departures(rel_, count);
-    }
+    // No row-width cap: the block counts into one uint32 row, and no
+    // valid block exceeds max_run_balls resident balls.
+    engine_detail::route_departures(
+        process, rng, count, max_run_balls, opt_.min_window,
+        [&](auto& batched, step_count k) { return depart_block(batched, rng, k); });
   }
 
+  /// Type-erased entry point (see the step_many overload).
+  void depart_many(any_process& process, rng_t& rng, step_count count);
+
  private:
+  /// One departure block of `k` events through the SIMD departure kernel;
+  /// false when the live loads cannot compact (caller falls back to the
+  /// serial loop).
+  template <batch_departable P>
+  bool depart_block(P& process, rng_t& rng, step_count k) {
+    if (!snapshot_.assign(process.state().loads())) return false;
+    const bin_count n = process.state().n();
+    const bool drain =
+        process.model().departures.departure_kind() == departure_model::kind::drain;
+    const weight_t w = drain ? drain_weight(process.model().weighting) : weight_t{1};
+    const std::uint64_t token = rng.next();
+    rel_.assign(n, 0);
+    kernel_depart(isa_, opt_.lanes, drain ? depart_channel::drain : depart_channel::random, n,
+                  snapshot_.data(), snapshot_.base(), snapshot_.max_off(), w, rel_.data(), k,
+                  token);
+    process.commit_departures(rel_, k);
+    return true;
+  }
+
   kernel_options opt_;
   kernel_isa isa_;
   compact_snapshot snapshot_;
@@ -1072,17 +1088,6 @@ class any_process {
   /// One indirect call for the whole chunk; the wrapped process's fused
   /// loop (or the fallback loop) runs fully inlined behind it.
   void step_many(rng_t& rng, step_count count) { impl_->step_many(rng, count); }
-  /// One indirect call per chunk into the shard engine: window-parallel
-  /// wrapped types run shard-parallel, everything else takes the serial
-  /// fused loop -- same dispatch as the template path, behind type erasure.
-  void step_many_parallel(rng_t& rng, step_count count, shard_engine& engine) {
-    impl_->step_many_parallel(rng, count, engine);
-  }
-  /// Same, into the serial kernel engine: min-select frozen windows run
-  /// the SIMD kernel, everything else the serial fused loop.
-  void step_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) {
-    impl_->step_many_kernel(rng, count, engine);
-  }
   /// One departure event through the wrapped process's channel.  Throws
   /// contract_error when the wrapped type is not departable (pre-churn
   /// process types that never adopted depart()).
@@ -1090,16 +1095,6 @@ class any_process {
   /// `count` departure events through the wrapped process's serial
   /// per-event loop -- one indirect call for the whole block.
   void depart_many(rng_t& rng, step_count count) { impl_->depart_many(rng, count); }
-  /// Same, shard-parallel through the engine's batched departure path
-  /// (batch-departable wrapped types; everything else falls back to the
-  /// serial per-event loop inside the engine).
-  void depart_many_parallel(rng_t& rng, step_count count, shard_engine& engine) {
-    impl_->depart_many_parallel(rng, count, engine);
-  }
-  /// Same, through the serial kernel engine's batched departure path.
-  void depart_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) {
-    impl_->depart_many_kernel(rng, count, engine);
-  }
   [[nodiscard]] const load_state& state() const { return impl_->state(); }
   void reset() { impl_->reset(); }
   [[nodiscard]] std::string name() const { return impl_->name(); }
@@ -1123,16 +1118,22 @@ class any_process {
   [[nodiscard]] step_count snapshot_window() const { return impl_->snapshot_window(); }
 
  private:
+  // The engines' any_process overloads cross the erasure through the
+  // engine-taking virtuals below: one indirect call per chunk, then the
+  // engine's template path on the wrapped concrete type.
+  friend class shard_engine;
+  friend class kernel_engine;
+
   struct base {
     virtual ~base() = default;
     virtual void step(rng_t&) = 0;
     virtual void step_many(rng_t&, step_count) = 0;
-    virtual void step_many_parallel(rng_t&, step_count, shard_engine&) = 0;
-    virtual void step_many_kernel(rng_t&, step_count, kernel_engine&) = 0;
+    virtual void step_many(rng_t&, step_count, shard_engine&) = 0;
+    virtual void step_many(rng_t&, step_count, kernel_engine&) = 0;
     virtual void depart(rng_t&) = 0;
     virtual void depart_many(rng_t&, step_count) = 0;
-    virtual void depart_many_parallel(rng_t&, step_count, shard_engine&) = 0;
-    virtual void depart_many_kernel(rng_t&, step_count, kernel_engine&) = 0;
+    virtual void depart_many(rng_t&, step_count, shard_engine&) = 0;
+    virtual void depart_many(rng_t&, step_count, kernel_engine&) = 0;
     [[nodiscard]] virtual const load_state& state() const = 0;
     virtual void reset() = 0;
     [[nodiscard]] virtual std::string name() const = 0;
@@ -1152,39 +1153,42 @@ class any_process {
     void step_many(rng_t& rng, step_count count) override {
       nb::step_many(process, rng, count);
     }
-    void step_many_parallel(rng_t& rng, step_count count, shard_engine& engine) override {
+    void step_many(rng_t& rng, step_count count, shard_engine& engine) override {
       engine.step_many(process, rng, count);
     }
-    void step_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) override {
+    void step_many(rng_t& rng, step_count count, kernel_engine& engine) override {
       engine.step_many(process, rng, count);
     }
     void depart(rng_t& rng) override {
       if constexpr (departable_process<P>) {
         process.depart(rng);
       } else {
-        throw contract_error("process '" + process.name() + "' does not support departures");
+        no_departures();
       }
     }
     void depart_many(rng_t& rng, step_count count) override {
       if constexpr (departable_process<P>) {
         nb::depart_many(process, rng, count);
       } else {
-        throw contract_error("process '" + process.name() + "' does not support departures");
+        no_departures();
       }
     }
-    void depart_many_parallel(rng_t& rng, step_count count, shard_engine& engine) override {
+    void depart_many(rng_t& rng, step_count count, shard_engine& engine) override {
+      engine_depart(engine, rng, count);
+    }
+    void depart_many(rng_t& rng, step_count count, kernel_engine& engine) override {
+      engine_depart(engine, rng, count);
+    }
+    template <typename Engine>
+    void engine_depart(Engine& engine, rng_t& rng, step_count count) {
       if constexpr (departable_process<P>) {
         engine.depart_many(process, rng, count);
       } else {
-        throw contract_error("process '" + process.name() + "' does not support departures");
+        no_departures();
       }
     }
-    void depart_many_kernel(rng_t& rng, step_count count, kernel_engine& engine) override {
-      if constexpr (departable_process<P>) {
-        engine.depart_many(process, rng, count);
-      } else {
-        throw contract_error("process '" + process.name() + "' does not support departures");
-      }
+    [[noreturn]] void no_departures() const {
+      throw contract_error("process '" + process.name() + "' does not support departures");
     }
     [[nodiscard]] const load_state& state() const override { return process.state(); }
     void reset() override { process.reset(); }
@@ -1243,67 +1247,25 @@ class any_process {
 static_assert(allocation_process<any_process>);
 static_assert(departable_process<any_process>);
 
-/// Parallel counterpart of step_many(): allocates `count` balls through
-/// `engine`, shard-parallel wherever the process exposes stale-snapshot
-/// windows and serially everywhere else.  Drivers pick this entry point
-/// when the caller asked for intra-run threads (threads_per_run > 0).
-template <single_steppable P>
-inline void step_many_parallel(P& process, rng_t& rng, step_count count, shard_engine& engine) {
-  engine.step_many(process, rng, count);
-}
-
-/// Type-erased overload: one virtual call per chunk, engine dispatch on
-/// the wrapped concrete type behind it.
-inline void step_many_parallel(any_process& process, rng_t& rng, step_count count,
-                               shard_engine& engine) {
-  process.step_many_parallel(rng, count, engine);
-}
-
-/// Serial-kernel counterpart of step_many(): allocates `count` balls
-/// through `engine`, SIMD-kernel wherever the process exposes min-select
-/// stale-snapshot windows and the serial fused loop everywhere else.
-template <single_steppable P>
-inline void step_many_kernel(P& process, rng_t& rng, step_count count, kernel_engine& engine) {
-  engine.step_many(process, rng, count);
-}
-
-/// Type-erased overload.
-inline void step_many_kernel(any_process& process, rng_t& rng, step_count count,
-                             kernel_engine& engine) {
-  process.step_many_kernel(rng, count, engine);
-}
-
 /// Type-erased overload of the serial reference depart_many.
 inline void depart_many(any_process& process, rng_t& rng, step_count count) {
   process.depart_many(rng, count);
 }
 
-/// Batched-departure counterparts of step_many_parallel/step_many_kernel:
-/// serve `count` departure events through the engine, kernel-batched
-/// wherever the process is batch-departable and its channel/block size
-/// qualify, serially (with the engine's one-time fallback diagnostics)
-/// everywhere else.
-template <single_steppable P>
-  requires departable_process<P>
-inline void depart_many_parallel(P& process, rng_t& rng, step_count count,
-                                 shard_engine& engine) {
-  engine.depart_many(process, rng, count);
+inline void shard_engine::step_many(any_process& process, rng_t& rng, step_count count) {
+  process.impl_->step_many(rng, count, *this);
 }
 
-inline void depart_many_parallel(any_process& process, rng_t& rng, step_count count,
-                                 shard_engine& engine) {
-  process.depart_many_parallel(rng, count, engine);
+inline void shard_engine::depart_many(any_process& process, rng_t& rng, step_count count) {
+  process.impl_->depart_many(rng, count, *this);
 }
 
-template <single_steppable P>
-  requires departable_process<P>
-inline void depart_many_kernel(P& process, rng_t& rng, step_count count, kernel_engine& engine) {
-  engine.depart_many(process, rng, count);
+inline void kernel_engine::step_many(any_process& process, rng_t& rng, step_count count) {
+  process.impl_->step_many(rng, count, *this);
 }
 
-inline void depart_many_kernel(any_process& process, rng_t& rng, step_count count,
-                               kernel_engine& engine) {
-  process.depart_many_kernel(rng, count, engine);
+inline void kernel_engine::depart_many(any_process& process, rng_t& rng, step_count count) {
+  process.impl_->depart_many(rng, count, *this);
 }
 
 }  // namespace nb

@@ -125,7 +125,7 @@ run_result run_cell(const campaign_config& config, std::size_t index, std::uint6
   rng_t rng(seed);
   // Engine + scratch are per cell: intra-run parallelism targets few,
   // huge runs, where one run dwarfs the shard engine's ~ms startup.
-  run_engine engine(opt.engine());
+  run_engine engine(opt.engine);
 
   bool checkpointing = opt.checkpoint_every > 0;
   if (checkpointing && !process.checkpointable()) {
@@ -282,7 +282,7 @@ campaign_result run_campaign(const std::vector<campaign_config>& configs,
   // hardware_concurrency cores, silent time-slicing.  Clamp the default
   // so the product fits the machine.
   std::size_t workers = opt.threads;
-  const std::size_t per_run = std::max<std::size_t>(1, opt.threads_per_run);
+  const std::size_t per_run = std::max<std::size_t>(1, opt.engine.threads_per_run);
   const auto cores =
       static_cast<std::size_t>(std::max(1u, std::thread::hardware_concurrency()));
   if (workers == 0 && per_run > 1) {
@@ -454,17 +454,13 @@ void campaign_result::write_csv(const std::string& path) const {
 
 std::vector<repeat_result> run_cells(const std::vector<cell>& cells, std::size_t runs,
                                      std::uint64_t master_seed, std::size_t threads,
-                                     std::size_t threads_per_run,
-                                     std::optional<kernel_isa> kernel, std::size_t lanes) {
+                                     const engine_config& engine) {
   NB_REQUIRE(runs >= 1, "need at least one run per cell");
   campaign_options opt;
   opt.repeats = runs;
   opt.seed = master_seed;
   opt.threads = threads;
-  opt.threads_per_run = threads_per_run;
-  opt.use_kernel = kernel.has_value() && threads_per_run == 0;
-  opt.isa = kernel.value_or(kernel_isa::auto_detect);
-  opt.lanes = lanes;
+  opt.engine = engine;
   const auto campaign = run_campaign(cells, opt);
   std::vector<repeat_result> results(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {

@@ -21,6 +21,7 @@
 #include "core/process.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
+#include "util/cli.hpp"
 #include "util/hugepage.hpp"
 #include "util/thread_pool.hpp"
 
@@ -42,20 +43,33 @@ struct run_result {
 /// engine, else use_kernel the serial kernel engine, else the plain fused
 /// loop.  shards / use_kernel / lanes are part of the sampling contract;
 /// threads_per_run and isa are execution-only and never affect results.
-///
-/// repeat_options and campaign_options still expose these as flat fields
-/// (deprecated; kept so existing call sites and journals keep working) and
-/// convert via their engine() / set_engine() accessors.
 struct engine_config {
+  /// > 0 routes every run through the intra-run shard engine with this
+  /// many workers per run (see process.hpp): stale-snapshot windows (e.g.
+  /// b-Batch batches) run shard-parallel inside each run.  Results depend
+  /// on `shards`, never on this thread count.  Processes without parallel
+  /// windows run serially regardless, with a one-time warn_once.
   std::size_t threads_per_run = 0;
+  /// Fixed shard count for the intra-run engine (sampling contract).
   std::size_t shards = 16;
+  /// threads_per_run == 0 only: move runs through the lane-interleaved
+  /// allocation kernel (kernel_engine) instead of the plain fused loop --
+  /// the single-threaded SIMD path.
   bool use_kernel = false;
+  /// Kernel lanes for both engines (sampling contract, like `shards`).
   std::size_t lanes = 8;
+  /// Kernel ISA backend for both engines (execution only; bit-identical
+  /// across backends).
   kernel_isa isa = kernel_isa::auto_detect;
 };
 
-/// Deprecated name for engine_config (pre-churn API).
-using engine_options = engine_config;
+/// The one mapping from the shared engine flag family (util/cli.hpp) to an
+/// engine_config: --kernel off keeps the fused loop, any backend name
+/// selects the kernel engine (unless --threads-per-run selects the shard
+/// engine, which runs the kernel inside its shards) with that backend.
+/// Throws contract_error on an unknown --kernel name or too many --lanes.
+/// --hugepages is not an engine field; callers apply it themselves.
+[[nodiscard]] engine_config engine_config_from_flags(const engine_flag_values& flags);
 
 /// One run's engine: owns the optional shard/kernel engine the options
 /// select and presents a single step() entry point, so drivers stop
@@ -87,14 +101,14 @@ class run_engine {
     }
   }
 
-  /// Allocates `count` balls through the selected engine, drawing from
-  /// `rng` exactly like the corresponding step_many* free function.
+  /// Allocates `count` balls through the selected engine's step_many (or
+  /// nb::step_many for the serial engine).
   template <single_steppable P>
   void step(P& process, rng_t& rng, step_count count) {
     if (shard_.has_value()) {
-      step_many_parallel(process, rng, count, *shard_);
+      shard_->step_many(process, rng, count);
     } else if (kernel_.has_value()) {
-      step_many_kernel(process, rng, count, *kernel_);
+      kernel_->step_many(process, rng, count);
     } else {
       nb::step_many(process, rng, count);
     }
@@ -103,14 +117,14 @@ class run_engine {
   /// Serves `count` departure events through the selected engine: the
   /// SIMD departure kernel (shard-parallel or serial) for qualifying
   /// drain/random blocks, the bulk lease pop, or the serial per-event
-  /// reference loop -- exactly the depart_many* free-function dispatch.
+  /// reference loop.
   template <single_steppable P>
     requires departable_process<P>
   void depart(P& process, rng_t& rng, step_count count) {
     if (shard_.has_value()) {
-      depart_many_parallel(process, rng, count, *shard_);
+      shard_->depart_many(process, rng, count);
     } else if (kernel_.has_value()) {
-      depart_many_kernel(process, rng, count, *kernel_);
+      kernel_->depart_many(process, rng, count);
     } else {
       nb::depart_many(process, rng, count);
     }
@@ -147,30 +161,9 @@ struct repeat_options {
   std::uint64_t master_seed = 1;
   /// 0 = one thread per hardware core.
   std::size_t threads = 0;
-  // -- Engine selection.  DEPRECATED as individual fields: these five are
-  // the flat spelling of engine_config, kept so existing call sites and
-  // journals keep working.  New code should read/write them through
-  // engine() / set_engine().
-  /// > 0 routes every run through the intra-run shard engine with this
-  /// many workers per run (see process.hpp): stale-snapshot windows (e.g.
-  /// b-Batch batches) run shard-parallel inside each run.  Results depend
-  /// on `shards`, never on this thread count.  Intended for few, huge runs
-  /// -- combined with `threads` > 1 the products of the two multiplies.
-  /// Processes without parallel windows run serially regardless; the
-  /// engine emits a one-time warn_once diagnostic when that happens.
-  std::size_t threads_per_run = 0;
-  /// Fixed shard count for the intra-run engine (sampling contract).
-  std::size_t shards = 16;
-  /// threads_per_run == 0 only: when true, serial runs move through the
-  /// lane-interleaved allocation kernel (kernel_engine) instead of the
-  /// plain fused loop -- the single-threaded SIMD path.  Results depend
-  /// on `lanes`, never on `isa`.
-  bool use_kernel = false;
-  /// Kernel lanes for both engines (sampling contract, like `shards`).
-  std::size_t lanes = 8;
-  /// Kernel ISA backend for both engines (execution only; bit-identical
-  /// across backends).
-  kernel_isa isa = kernel_isa::auto_detect;
+  /// Every run's engine.  engine.threads_per_run is intended for few, huge
+  /// runs -- combined with `threads` > 1 the two multiply.
+  engine_config engine;
   /// Generalized allocation model applied to every run's process (specs
   /// per make_weighting / make_sampler).  The defaults leave the factory's
   /// processes untouched, so historical call sites are bit-identical.
@@ -182,24 +175,6 @@ struct repeat_options {
   /// fail-soft: results never depend on it, and a refused madvise quietly
   /// degrades to normal pages.  Also reachable via NB_HUGEPAGES=1.
   bool hugepages = false;
-
-  /// The engine-selection slice of these options as the one shared struct
-  /// (see engine_config).
-  [[nodiscard]] engine_config engine() const noexcept {
-    return engine_config{.threads_per_run = threads_per_run,
-                         .shards = shards,
-                         .use_kernel = use_kernel,
-                         .lanes = lanes,
-                         .isa = isa};
-  }
-  /// Writes an engine_config back into the flat (deprecated) fields.
-  void set_engine(const engine_config& e) noexcept {
-    threads_per_run = e.threads_per_run;
-    shards = e.shards;
-    use_kernel = e.use_kernel;
-    lanes = e.lanes;
-    isa = e.isa;
-  }
 };
 
 /// Aggregate over repetitions of one configuration.
@@ -243,33 +218,11 @@ run_result simulate(P& process, step_count m, rng_t& rng) {
   return detail::collect_run_result(process);
 }
 
-/// Intra-run parallel variant: moves the m balls through `engine`, so
-/// stale-snapshot windows run shard-parallel (serial fused loop for
-/// everything else).  Same observables as simulate(); results are
-/// bit-identical for any engine thread count but differ bitwise (not
-/// distributionally) from the serial path's stream usage.
-template <allocation_process P>
-run_result simulate_parallel(P& process, step_count m, rng_t& rng, shard_engine& engine) {
-  detail::check_run_ceiling(process, m);
-  step_many_parallel(process, rng, m, engine);
-  return detail::collect_run_result(process);
-}
-
-/// Serial-kernel variant: moves the m balls through the lane-interleaved
-/// allocation kernel wherever the process exposes min-select frozen
-/// windows (serial fused loop elsewhere).  Same observables as simulate();
-/// results are bit-identical across ISA backends for a fixed lane count.
-template <allocation_process P>
-run_result simulate_kernel(P& process, step_count m, rng_t& rng, kernel_engine& engine) {
-  detail::check_run_ceiling(process, m);
-  step_many_kernel(process, rng, m, engine);
-  return detail::collect_run_result(process);
-}
-
-/// Options-routed variant: moves the m balls through whichever engine the
+/// Engine-routed variant: moves the m balls through whichever engine the
 /// options selected (run_engine).  This is what run_repeated_with and the
-/// campaign cells use; the three simulate* templates above stay for
-/// callers that manage an engine themselves.
+/// campaign cells use.  Same observables as simulate(); the shard and
+/// kernel engines draw different (identically distributed) randomness
+/// than the serial path, bit-identical for any thread count or ISA.
 template <allocation_process P>
 run_result simulate_with(P& process, step_count m, rng_t& rng, run_engine& engine) {
   detail::check_run_ceiling(process, m);
@@ -333,7 +286,7 @@ repeat_result run_repeated_with(Factory&& factory, step_count m, const repeat_op
         }
       }
       rng_t rng(derive_seed(opt.master_seed, r));
-      run_engine engine(opt.engine());
+      run_engine engine(opt.engine);
       results[r] = simulate_with(process, m, rng, engine);
       results[r].seed = derive_seed(opt.master_seed, r);
     } catch (...) {

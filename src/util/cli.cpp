@@ -172,7 +172,7 @@ void add_engine_flags(cli_parser& cli) {
   cli.add_int("shards", 16, "fixed shard count for the parallel engine (sampling contract)");
   cli.add_string("kernel", "off",
                  "allocation-kernel backend for frozen windows: off | scalar | "
-                 "sse2 | avx2 | avx512 | neon | auto | simd (auto/simd = best "
+                 "avx2 | avx512 | neon | auto | simd (auto/simd = best "
                  "this CPU supports; an unsupported request warns once and falls "
                  "back; backends are bit-identical for a fixed lane count)");
   cli.add_int("lanes", 8, "kernel RNG lanes (sampling contract, like shards)");

@@ -180,7 +180,7 @@ TEST(CheckpointRestore, RejectsEveryIdentityMismatch) {
 /// (capturing the first mark), and killed-at-that-mark-then-resumed
 /// (through the full encode/decode codec) -- and asserts all three load
 /// vectors and results are identical.
-void expect_resume_identical(const process_spec& spec, step_count m, const engine_options& eopt,
+void expect_resume_identical(const process_spec& spec, step_count m, const engine_config& eopt,
                              step_count every, std::uint64_t seed = 4242) {
   any_process ref = make_process(spec);
   rng_t ref_rng(seed);
@@ -229,7 +229,7 @@ void expect_resume_identical(const process_spec& spec, step_count m, const engin
 class SerialResumeIdentity : public ::testing::TestWithParam<process_spec> {};
 
 TEST_P(SerialResumeIdentity, ResumedEqualsUninterrupted) {
-  expect_resume_identical(GetParam(), 4800, engine_options{}, 700);
+  expect_resume_identical(GetParam(), 4800, engine_config{}, 700);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -259,11 +259,11 @@ TEST(ResumeIdentity, DelayRingMidFillCheckpoint) {
   // The first mark lands while tau-Delay's ring is still FILLING (10
   // balls into a tau-1 = 49 capacity ring): the fill-phase cursor laws
   // must survive the round trip too.
-  expect_resume_identical(process_spec{"tau-delay", 64, 50.0}, 400, engine_options{}, 10);
+  expect_resume_identical(process_spec{"tau-delay", 64, 50.0}, 400, engine_config{}, 10);
 }
 
 TEST(ResumeIdentity, ShardEngineAcrossKinds) {
-  engine_options eopt;
+  engine_config eopt;
   eopt.threads_per_run = 2;
   eopt.shards = 4;
   eopt.lanes = 4;
@@ -275,7 +275,7 @@ TEST(ResumeIdentity, ShardEngineAcrossKinds) {
 }
 
 TEST(ResumeIdentity, KernelEngine) {
-  engine_options eopt;
+  engine_config eopt;
   eopt.use_kernel = true;
   eopt.lanes = 4;
   expect_resume_identical(process_spec{"b-batch", 96, 480.0}, 4800, eopt, 700);
@@ -288,10 +288,10 @@ TEST(ResumeIdentity, RestoreUnderDifferentThreadCount) {
   const process_spec spec{"b-batch", 96, 480.0};
   const std::uint64_t seed = 31337;
   const step_count m = 4800;
-  engine_options one;
+  engine_config one;
   one.threads_per_run = 1;
   one.shards = 4;
-  engine_options three = one;
+  engine_config three = one;
   three.threads_per_run = 3;
 
   any_process ref = make_process(spec);
@@ -324,12 +324,12 @@ TEST(RunCheckpointed, NoCadenceMatchesPlainRun) {
   for (const step_count every : {step_count{0}, step_count{100000}}) {
     any_process a = make_process(spec);
     rng_t rng_a(5);
-    run_engine engine_a((engine_options{}));
+    run_engine engine_a((engine_config{}));
     const run_result ra = simulate_with(a, 3200, rng_a, engine_a);
 
     any_process b = make_process(spec);
     rng_t rng_b(5);
-    run_engine engine_b((engine_options{}));
+    run_engine engine_b((engine_config{}));
     int marks = 0;
     const run_result rb =
         run_checkpointed(b, 3200, rng_b, engine_b, every, [&](step_count) { ++marks; });
@@ -446,7 +446,7 @@ TEST(CampaignCheckpoint, MidCellRestoreMatchesUninterruptedByteForByte) {
     const campaign_config& config = configs[target / base.repeats];
     any_process process = make_process(config.process);
     rng_t rng(derive_seed(base.seed, target));
-    run_engine engine(copt.engine());
+    run_engine engine(copt.engine);
     std::optional<run_checkpoint> ckpt;
     (void)run_checkpointed(process, config.m, rng, engine, copt.checkpoint_every,
                            [&](step_count) {

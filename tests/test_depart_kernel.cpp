@@ -40,9 +40,8 @@ using namespace nb;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::sse2,
-                                               kernel_isa::avx2, kernel_isa::avx512,
-                                               kernel_isa::neon};
+  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
+                                               kernel_isa::avx512, kernel_isa::neon};
   return isas;
 }
 
@@ -688,7 +687,7 @@ TEST(DepartEngineKernel, BatchedBitIdenticalAcrossIsaBackends) {
       rng_t rng(7);
       any_process process = churned_process(channel, 64, 20000, 7, rng);
       kernel_engine engine(kernel_options{.lanes = 8, .isa = isa, .min_window = 1});
-      depart_many_kernel(process, rng, 8000, engine);
+      engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000) << channel;
       if (reference.empty()) {
         reference = process.state().loads();
@@ -717,7 +716,7 @@ TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
       any_process process = churned_process("drain", 64, 20000, 21, rng);
       shard_engine engine(shard_options{
           .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
-      depart_many_parallel(process, rng, 8000, engine);
+      engine.depart_many(process, rng, 8000);
       EXPECT_EQ(process.state().balls(), 12000);
       if (reference.empty()) {
         reference = process.state().loads();
@@ -735,7 +734,7 @@ TEST(DepartEngineKernel, BulkLeasePopIsBitIdenticalToSerial) {
   rng_t rng_a(3);
   any_process batched = churned_process("lease", 32, 5000, 3, rng_a);
   kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(batched, rng_a, 4000, engine);
+  engine.depart_many(batched, rng_a, 4000);
 
   rng_t rng_b(3);
   any_process serial = churned_process("lease", 32, 5000, 3, rng_b);
@@ -756,7 +755,7 @@ TEST(DepartEngineKernel, WeightedDrainRetiresTheBallsActualWeight) {
   step_many(process, rng, 3000);
   ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 9000);
   kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(process, rng, 1000, engine);
+  engine.depart_many(process, rng, 1000);
   EXPECT_EQ(process.state().balls(), 2000);
   EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 6000);
 }
@@ -767,36 +766,121 @@ TEST(DepartEngineKernel, WeightedDrainRetiresTheBallsActualWeight) {
 // once (warn_once), and must still serve it bit-identically to the serial
 // reference.
 
-TEST(DepartEngineKernel, UndersizedBlocksFallBackToSerialWithDiagnostic) {
-  rng_t rng_a(13);
-  any_process via_engine = churned_process("drain", 64, 2000, 13, rng_a);
-  const std::string key = "depart-engine-window/" + via_engine.name();
-  kernel_engine engine(kernel_options{});  // default min_window = 4096
-  depart_many_kernel(via_engine, rng_a, 100, engine);
-  EXPECT_TRUE(warned(key)) << key;
+/// Runs `check(engine)` on a serial kernel engine and on a shard engine
+/// built with the same `min_window`: both route departures through the
+/// same shared fallbacks.  warn_once keys are process-global, so after
+/// the first engine a key check alone proves nothing -- every check also
+/// compares against the serial per-event reference.
+template <typename Check>
+void on_both_engines(step_count min_window, const Check& check) {
+  {
+    SCOPED_TRACE("kernel engine");
+    kernel_engine kernel(kernel_options{.min_window = min_window});
+    check(kernel);
+  }
+  {
+    SCOPED_TRACE("shard engine");
+    shard_engine shard(shard_options{.threads = 2, .shards = 4, .min_window = min_window});
+    check(shard);
+  }
+}
 
-  rng_t rng_b(13);
-  any_process serial = churned_process("drain", 64, 2000, 13, rng_b);
-  depart_many(serial, rng_b, 100);
-  EXPECT_EQ(via_engine.state().loads(), serial.state().loads());
-  EXPECT_EQ(rng_a.next(), rng_b.next());
+TEST(DepartEngineKernel, UndersizedBlocksFallBackToSerialWithDiagnostic) {
+  on_both_engines(4096, [](auto& engine) {  // both engines' default min_window
+    rng_t rng_a(13);
+    any_process via_engine = churned_process("drain", 64, 2000, 13, rng_a);
+    const std::string key = "depart-engine-window/" + via_engine.name();
+    engine.depart_many(via_engine, rng_a, 100);
+    EXPECT_TRUE(warned(key)) << key;
+
+    rng_t rng_b(13);
+    any_process serial = churned_process("drain", 64, 2000, 13, rng_b);
+    depart_many(serial, rng_b, 100);
+    EXPECT_EQ(via_engine.state().loads(), serial.state().loads());
+    EXPECT_EQ(rng_a.next(), rng_b.next());
+  });
+}
+
+/// Three fixed-weight-300 balls over two bins: loads {600, 300}, a
+/// 300-unit span beyond the compact snapshot's 8-bit range.
+any_process span_saturated_process(rng_t& rng) {
+  any_process process{two_choice(2)};
+  process.set_model(make_model("fixed:300", "uniform", 2, "drain"));
+  rng = rng_t(1);
+  step_many(process, rng, 3);
+  return process;
 }
 
 TEST(DepartEngineKernel, SpanSaturatedLoadsFallBackToSerialWithDiagnostic) {
-  // Three fixed-weight-300 balls over two bins leave loads {600, 300}:
-  // the 300-unit span exceeds the compact snapshot's 8-bit range, so the
-  // batched path must decline, warn once, and serve serially.
-  any_process process{two_choice(2)};
-  process.set_model(make_model("fixed:300", "uniform", 2, "drain"));
-  rng_t rng(1);
-  step_many(process, rng, 3);
-  ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 900);
-  const std::string key = "depart-engine-span/" + process.name();
-  kernel_engine engine(kernel_options{.min_window = 1});
-  depart_many_kernel(process, rng, 1, engine);
-  EXPECT_TRUE(warned(key)) << key;
-  EXPECT_EQ(process.state().balls(), 2);
-  EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 600);
+  // The batched path must decline, warn once, and serve serially.
+  on_both_engines(1, [](auto& engine) {
+    rng_t rng_a(0);
+    any_process process = span_saturated_process(rng_a);
+    ASSERT_EQ(nb::testing::total_balls(process.state().loads()), 900);
+    const std::string key = "depart-engine-span/" + process.name();
+    engine.depart_many(process, rng_a, 1);
+    EXPECT_TRUE(warned(key)) << key;
+    EXPECT_EQ(process.state().balls(), 2);
+    EXPECT_EQ(nb::testing::total_balls(process.state().loads()), 600);
+
+    rng_t rng_b(0);
+    any_process serial = span_saturated_process(rng_b);
+    depart_many(serial, rng_b, 1);
+    EXPECT_EQ(process.state().loads(), serial.state().loads());
+    EXPECT_EQ(rng_a.next(), rng_b.next());
+  });
+}
+
+TEST(DepartEngine, TypeErasedRouteMatchesTemplateRoute) {
+  // The engines' any_process depart_many overloads must cross the erasure
+  // into the concrete type's batched path: identical loads and generator
+  // position on every channel and on both random samplers, and never the
+  // not-batch-departable fallback.
+  struct scenario {
+    const char* channel;
+    bin_count n;
+    step_count warm;
+    step_count k;
+  };
+  const scenario scenarios[] = {
+      {"drain", 64, 20000, 8000},
+      // Average load ~312: the random channel's rejection sampler.
+      {"random", 64, 20000, 8000},
+      // Average load 1/2, max >= 2 (asserted below), k = n/4: 2 N < n B
+      // and n <= 8 k hold per kernel block and per shard, so the dense
+      // sampler.
+      {"random", 256, 128, 64},
+      {"lease", 32, 5000, 4000},
+  };
+  for (const scenario& s : scenarios) {
+    SCOPED_TRACE(std::string(s.channel) + " n=" + std::to_string(s.n));
+    two_choice warmed(s.n);
+    warmed.set_model(make_model("unit", "uniform", s.n, s.channel));
+    rng_t rng(5);
+    step_many(warmed, rng, s.warm);
+    if (s.warm < static_cast<step_count>(s.n)) {
+      ASSERT_GE(warmed.state().max_load(), 2);
+    }
+    on_both_engines(1, [&](auto& engine) {
+      two_choice direct = warmed;
+      any_process erased{warmed};
+      rng_t rng_a = rng;
+      rng_t rng_b = rng;
+      engine.depart_many(direct, rng_a, s.k);
+      engine.depart_many(erased, rng_b, s.k);
+      EXPECT_EQ(direct.state().loads(), erased.state().loads());
+      EXPECT_EQ(rng_a.next(), rng_b.next());
+      EXPECT_FALSE(warned("depart-engine/" + erased.name()));
+      if (std::string(s.channel) != "lease") {
+        // The batched path really ran: it does not reproduce the serial
+        // per-event stream (lease is RNG-free and identical by design).
+        two_choice serial = warmed;
+        rng_t rng_s = rng;
+        depart_many(serial, rng_s, s.k);
+        EXPECT_NE(serial.state().loads(), direct.state().loads());
+      }
+    });
+  }
 }
 
 /// A minimal process with a per-event depart() but no commit_departures:

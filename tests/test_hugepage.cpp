@@ -86,7 +86,7 @@ TEST_F(HugepageTest, BackingNeverAffectsResults) {
     b_batch process(256, 256);
     rng_t rng(77);
     kernel_engine engine(kernel_options{.min_window = 1});
-    step_many_kernel(process, rng, 256 * 64, engine);
+    engine.step_many(process, rng, 256 * 64);
     return process.state().loads();
   };
   set_hugepages_enabled(false);
@@ -106,7 +106,7 @@ TEST_F(HugepageTest, RepeatOptionsKnobIsScopedAndExecutionOnly) {
     opt.runs = 2;
     opt.master_seed = 5;
     opt.threads = 1;
-    opt.use_kernel = true;
+    opt.engine.use_kernel = true;
     opt.hugepages = hugepages;
     return run_repeated([] { return any_process(b_batch(128, 128 * 16)); }, 128 * 64, opt);
   };

@@ -26,9 +26,8 @@ using namespace nb;
 
 /// Every ISA the dispatch knows (excluding auto_detect), supported or not.
 const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::sse2,
-                                               kernel_isa::avx2, kernel_isa::avx512,
-                                               kernel_isa::neon};
+  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
+                                               kernel_isa::avx512, kernel_isa::neon};
   return isas;
 }
 
@@ -171,7 +170,7 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
 
 TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
-  // over awkward shapes: lane counts that leave SSE2/AVX2 remainder lanes
+  // over awkward shapes: lane counts that leave NEON/AVX2 remainder lanes
   // (1, 3, 5, 7), tiny bins, ball counts that end mid-round, and multiple
   // blocks (balls > the driver's 8192-ball block).
   const auto isas = supported_backends();
@@ -212,7 +211,7 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // The alias lane path's backend contract, over the same awkward shapes
   // as the uniform path: remainder lanes, tiny bins, mid-round tails,
   // multi-block runs.  AVX2 uses hardware gathers for the threshold /
-  // alias / snapshot lookups; SSE2 vectorizes only the draw generation --
+  // alias / snapshot lookups; NEON vectorizes only the draw generation --
   // all must match the scalar reference bit for bit.
   const auto isas = supported_backends();
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
@@ -380,7 +379,7 @@ std::vector<load_t> kernel_engine_loads(kernel_isa isa, std::size_t lanes, bin_c
   b_batch process(n, n);
   rng_t rng(seed);
   kernel_engine engine(kernel_options{.lanes = lanes, .isa = isa, .min_window = 1});
-  step_many_kernel(process, rng, m, engine);
+  engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
@@ -407,7 +406,7 @@ TEST(KernelEngine, UndersizedWindowsFallBackToSerialExactly) {
   rng_t rng_a(21);
   rng_t rng_b(21);
   kernel_engine engine(kernel_options{.min_window = 1 << 20});
-  step_many_kernel(via_engine, rng_a, 3210, engine);
+  engine.step_many(via_engine, rng_a, 3210);
   step_many(serial, rng_b, 3210);
   EXPECT_EQ(via_engine.state().loads(), serial.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -421,7 +420,7 @@ TEST(KernelEngine, NonMinSelectProcessesFallBackToSerialExactly) {
   rng_t rng_a(5);
   rng_t rng_b(5);
   kernel_engine engine(kernel_options{.min_window = 1});
-  step_many_kernel(tc_kernel, rng_a, 2000, engine);
+  engine.step_many(tc_kernel, rng_a, 2000);
   step_many(tc_serial, rng_b, 2000);
   EXPECT_EQ(tc_kernel.state().loads(), tc_serial.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -430,12 +429,14 @@ TEST(KernelEngine, NonMinSelectProcessesFallBackToSerialExactly) {
   tau_delay<delay_adversarial> td_serial(32, 9);
   rng_t rng_c(6);
   rng_t rng_d(6);
-  step_many_kernel(td_kernel, rng_c, 2000, engine);
+  engine.step_many(td_kernel, rng_c, 2000);
   step_many(td_serial, rng_d, 2000);
   EXPECT_EQ(td_kernel.state().loads(), td_serial.state().loads());
 }
 
 TEST(KernelEngine, TypeErasedRouteMatchesTemplateRoute) {
+  // Same bridge contract as the shard engine's: the any_process overload
+  // runs the concrete type's kernel path, never the no-window fallback.
   const bin_count n = 256;
   const step_count m = 32 * n;
   b_batch direct(n, n);
@@ -443,9 +444,11 @@ TEST(KernelEngine, TypeErasedRouteMatchesTemplateRoute) {
   rng_t rng_a(88);
   rng_t rng_b(88);
   kernel_engine engine(kernel_options{.min_window = 1});
-  step_many_kernel(direct, rng_a, m, engine);
-  step_many_kernel(erased, rng_b, m, engine);
+  engine.step_many(direct, rng_a, m);
+  engine.step_many(erased, rng_b, m);
   EXPECT_EQ(direct.state().loads(), erased.state().loads());
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+  EXPECT_FALSE(warned("kernel-engine/" + erased.name()));
 }
 
 TEST(KernelEngine, GapDistributionMatchesSerialBulkPath) {
@@ -466,7 +469,7 @@ TEST(KernelEngine, GapDistributionMatchesSerialBulkPath) {
     b_batch kern(n, n);
     rng_t rng_k(derive_seed(4000, r));
     kernel_engine engine(kernel_options{.min_window = 1});
-    step_many_kernel(kern, rng_k, m, engine);
+    engine.step_many(kern, rng_k, m);
     kernel_mean += kern.state().gap();
     EXPECT_EQ(kern.state().balls(), m);
   }
@@ -479,7 +482,7 @@ std::vector<load_t> shard_kernel_loads(std::size_t threads, kernel_isa isa, bin_
   rng_t rng(seed);
   shard_engine engine(shard_options{
       .threads = threads, .shards = 8, .min_window = 1, .lanes = 8, .isa = isa});
-  step_many_parallel(process, rng, m, engine);
+  engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
@@ -513,14 +516,14 @@ TEST(ShardEngineKernel, GapHistogramInvariantAcrossBackendsForRegistry) {
     opt.runs = 3;
     opt.master_seed = 17;
     opt.threads = 1;
-    opt.threads_per_run = 1;
-    opt.shards = 4;
-    opt.lanes = 8;
-    opt.isa = kernel_isa::scalar;
+    opt.engine.threads_per_run = 1;
+    opt.engine.shards = 4;
+    opt.engine.lanes = 8;
+    opt.engine.isa = kernel_isa::scalar;
     const auto scalar_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
     opt.threads = 2;
-    opt.threads_per_run = 2;
-    opt.isa = kernel_isa::auto_detect;
+    opt.engine.threads_per_run = 2;
+    opt.engine.isa = kernel_isa::auto_detect;
     const auto simd_run = run_repeated([&] { return make_process(spec); }, 64 * 64, opt);
     ASSERT_EQ(scalar_run.runs.size(), simd_run.runs.size()) << kind;
     for (std::size_t r = 0; r < scalar_run.runs.size(); ++r) {
@@ -535,19 +538,18 @@ TEST(KernelEngine, SimulateKernelAndRepeatRouting) {
   b_batch process(64, 64);
   rng_t rng(3);
   kernel_engine engine(kernel_options{.min_window = 1});
-  const auto result = simulate_kernel(process, 640, rng, engine);
-  EXPECT_EQ(result.balls, 640);
-  EXPECT_DOUBLE_EQ(result.gap, process.state().gap());
+  engine.step_many(process, rng, 640);
+  EXPECT_EQ(process.state().balls(), 640);
 
   // use_kernel routes run_repeated through the serial kernel engine;
   // results must not depend on the ISA backend.
   repeat_options opt;
   opt.runs = 3;
   opt.master_seed = 9;
-  opt.use_kernel = true;
-  opt.isa = kernel_isa::scalar;
+  opt.engine.use_kernel = true;
+  opt.engine.isa = kernel_isa::scalar;
   const auto a = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
-  opt.isa = kernel_isa::auto_detect;
+  opt.engine.isa = kernel_isa::auto_detect;
   const auto b = run_repeated([] { return any_process(b_batch(64, 8192)); }, 64 * 256, opt);
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t r = 0; r < a.runs.size(); ++r) {

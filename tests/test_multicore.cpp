@@ -36,7 +36,7 @@ std::vector<load_t> engine_loads(std::size_t threads, std::uint64_t seed) {
   b_batch process(n, n);
   rng_t rng(seed);
   shard_engine engine(shard_options{.threads = threads, .shards = 16, .min_window = 1});
-  step_many_parallel(process, rng, 8 * static_cast<step_count>(n), engine);
+  engine.step_many(process, rng, 8 * static_cast<step_count>(n));
   return process.state().loads();
 }
 
@@ -78,8 +78,8 @@ std::string campaign_json(std::size_t workers) {
   opt.repeats = 3;
   opt.seed = 77;
   opt.threads = workers;
-  opt.use_kernel = true;
-  opt.lanes = 8;
+  opt.engine.use_kernel = true;
+  opt.engine.lanes = 8;
   return run_campaign(configs, opt).to_json();
 }
 

@@ -148,7 +148,7 @@ TEST(Campaign, KernelRouteIsWorkerCountInvariant) {
   campaign_options opt;
   opt.repeats = 4;
   opt.seed = 7;
-  opt.use_kernel = true;
+  opt.engine.use_kernel = true;
   opt.threads = 1;
   const auto serial = run_campaign(configs, opt);
   opt.threads = 4;
@@ -390,6 +390,39 @@ TEST(RunCells, MatchesDirectCampaign) {
   for (std::size_t r = 0; r < 5; ++r) {
     EXPECT_DOUBLE_EQ(results[1].runs[r].gap, campaign.cells[5 + r].gap);
   }
+}
+
+TEST(RunCells, ForwardsTheWholeEngineConfig) {
+  // Regression: run_cells used to forward threads_per_run but not the
+  // shard count, so a shard-engine run silently used the default 16
+  // shards.  With the engine config forwarded whole, run_cells and
+  // run_campaign under the same config are bit-identical, and the shard
+  // count (part of the sampling contract) visibly changes the runs.
+  std::vector<cell> cells;
+  cells.push_back({"b-batch", [] { return any_process(b_batch(256, 4096)); }, 4 * 4096});
+  const std::size_t runs = 8;
+  const engine_config engine{.threads_per_run = 2, .shards = 4};
+  const auto results = run_cells(cells, runs, 31, 1, engine);
+
+  campaign_options opt;
+  opt.repeats = runs;
+  opt.seed = 31;
+  opt.threads = 1;
+  opt.engine = engine;
+  const auto campaign = run_campaign(cells, opt);
+  ASSERT_EQ(results[0].runs.size(), runs);
+  bool differs_from_default_shards = false;
+  const auto default_shards =
+      run_cells(cells, runs, 31, 1, engine_config{.threads_per_run = 2});
+  for (std::size_t r = 0; r < runs; ++r) {
+    EXPECT_EQ(results[0].runs[r].max_load, campaign.cells[r].max_load) << r;
+    EXPECT_EQ(results[0].runs[r].min_load, campaign.cells[r].min_load) << r;
+    EXPECT_DOUBLE_EQ(results[0].runs[r].gap, campaign.cells[r].gap) << r;
+    differs_from_default_shards |=
+        results[0].runs[r].max_load != default_shards[0].runs[r].max_load ||
+        results[0].runs[r].min_load != default_shards[0].runs[r].min_load;
+  }
+  EXPECT_TRUE(differs_from_default_shards);
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ std::vector<load_t> parallel_run_loads(std::size_t threads, std::size_t shards, 
   b_batch process(n, b);
   rng_t rng(seed);
   shard_engine engine(shard_options{.threads = threads, .shards = shards, .min_window = min_window});
-  step_many_parallel(process, rng, m, engine);
+  engine.step_many(process, rng, m);
   return process.state().loads();
 }
 
@@ -170,9 +170,9 @@ TEST(ShardEngine, BoundaryAlignedChunkingInvariance) {
   rng_t rng_a(5);
   rng_t rng_b(5);
   shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
-  step_many_parallel(whole, rng_a, 1280, engine);
+  engine.step_many(whole, rng_a, 1280);
   for (const step_count batches : {1, 3, 2, 4}) {
-    step_many_parallel(pieces, rng_b, batches * static_cast<step_count>(n), engine);
+    engine.step_many(pieces, rng_b, batches * static_cast<step_count>(n));
   }
   EXPECT_EQ(whole.state().loads(), pieces.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());  // same number of window tokens
@@ -183,14 +183,14 @@ TEST(ShardEngine, SnapshotRefreshMatchesTrueLoadsAtBoundary) {
   b_batch process(n, n);
   rng_t rng(11);
   shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
-  step_many_parallel(process, rng, 5 * n, engine);  // ends exactly on a boundary
+  engine.step_many(process, rng, 5 * n);  // ends exactly on a boundary
   for (bin_index i = 0; i < n; ++i) {
     EXPECT_EQ(process.reported_load(i), process.state().load(i)) << "stale bin " << i;
   }
   // Mid-batch, the snapshot must still show the batch-start loads: run half
   // a batch more and check the snapshot did NOT move.
   const auto frozen = process.state().loads();
-  step_many_parallel(process, rng, n / 2, engine);
+  engine.step_many(process, rng, n / 2);
   for (bin_index i = 0; i < n; ++i) {
     EXPECT_EQ(process.reported_load(i), frozen[i]) << "snapshot moved mid-batch, bin " << i;
   }
@@ -208,7 +208,7 @@ TEST(ShardEngine, UndersizedWindowsFallBackToSerialExactly) {
   rng_t rng_a(21);
   rng_t rng_b(21);
   shard_engine engine(shard_options{.threads = 4, .shards = 4, .min_window = 1 << 20});
-  step_many_parallel(parallel, rng_a, 3210, engine);
+  engine.step_many(parallel, rng_a, 3210);
   step_many(serial, rng_b, 3210);
   EXPECT_EQ(parallel.state().loads(), serial.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -223,7 +223,7 @@ TEST(ShardEngine, WindowlessProcessesFallBackToSerialExactly) {
   rng_t rng_a(31);
   rng_t rng_b(31);
   shard_engine engine(shard_options{.threads = 4, .shards = 4, .min_window = 1});
-  step_many_parallel(delay_par, rng_a, 2000, engine);
+  engine.step_many(delay_par, rng_a, 2000);
   step_many(delay_ser, rng_b, 2000);
   EXPECT_EQ(delay_par.state().loads(), delay_ser.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
@@ -232,14 +232,16 @@ TEST(ShardEngine, WindowlessProcessesFallBackToSerialExactly) {
   two_choice tc_ser(32);
   rng_t rng_c(32);
   rng_t rng_d(32);
-  step_many_parallel(tc_par, rng_c, 2000, engine);
+  engine.step_many(tc_par, rng_c, 2000);
   step_many(tc_ser, rng_d, 2000);
   EXPECT_EQ(tc_par.state().loads(), tc_ser.state().loads());
 }
 
 TEST(ShardEngine, TypeErasedRouteMatchesTemplateRoute) {
-  // any_process must dispatch into the same engine code path as the
-  // concrete type: identical seeds, options and chunking => identical runs.
+  // The engine's any_process overload must cross the erasure into the
+  // same code path as the concrete type: identical seeds, options and
+  // chunking => identical runs and generator positions, and never the
+  // no-window fallback.
   const bin_count n = 128;
   const step_count m = 10 * n;
   b_batch direct(n, n);
@@ -247,9 +249,11 @@ TEST(ShardEngine, TypeErasedRouteMatchesTemplateRoute) {
   rng_t rng_a(77);
   rng_t rng_b(77);
   shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
-  step_many_parallel(direct, rng_a, m, engine);
-  step_many_parallel(erased, rng_b, m, engine);
+  engine.step_many(direct, rng_a, m);
+  engine.step_many(erased, rng_b, m);
   EXPECT_EQ(direct.state().loads(), erased.state().loads());
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+  EXPECT_FALSE(warned("shard-engine/" + erased.name()));
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ TEST(ShardEngine, GapDistributionMatchesSerialBulkPath) {
     b_batch parallel(n, n);
     rng_t rng_p(derive_seed(2000, r));
     shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
-    step_many_parallel(parallel, rng_p, m, engine);
+    engine.step_many(parallel, rng_p, m);
     parallel_mean += parallel.state().gap();
     EXPECT_EQ(parallel.state().balls(), m);
   }
@@ -293,9 +297,8 @@ TEST(ShardEngine, SimulateParallelAndRepeatRouting) {
   b_batch process(64, 64);
   rng_t rng(3);
   shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
-  const auto result = simulate_parallel(process, 640, rng, engine);
-  EXPECT_EQ(result.balls, 640);
-  EXPECT_DOUBLE_EQ(result.gap, process.state().gap());
+  engine.step_many(process, rng, 640);
+  EXPECT_EQ(process.state().balls(), 640);
 
   // threads_per_run > 0 routes run_repeated through the engine; results
   // stay deterministic in the outer thread count AND the inner one.  The
@@ -305,11 +308,11 @@ TEST(ShardEngine, SimulateParallelAndRepeatRouting) {
   opt.runs = 4;
   opt.master_seed = 9;
   opt.threads = 2;
-  opt.threads_per_run = 2;
-  opt.shards = 4;
+  opt.engine.threads_per_run = 2;
+  opt.engine.shards = 4;
   const auto a = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
   opt.threads = 1;
-  opt.threads_per_run = 1;
+  opt.engine.threads_per_run = 1;
   const auto b = run_repeated([&] { return any_process(b_batch(64, 8192)); }, 6400, opt);
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t r = 0; r < a.runs.size(); ++r) {
@@ -323,8 +326,8 @@ TEST(ShardEngine, RunCeilingUsesNamedConstant) {
   two_choice p(4);
   rng_t rng(1);
   EXPECT_THROW(static_cast<void>(simulate(p, max_run_balls + 1, rng)), contract_error);
-  shard_engine engine(shard_options{.threads = 1});
-  EXPECT_THROW(static_cast<void>(simulate_parallel(p, max_run_balls + 1, rng, engine)),
+  run_engine engine(engine_config{.threads_per_run = 1});
+  EXPECT_THROW(static_cast<void>(simulate_with(p, max_run_balls + 1, rng, engine)),
                contract_error);
 }
 

@@ -139,7 +139,7 @@ def main():
                              "(0 = m); needs --departures")
     parser.add_argument("--kernel", default="off",
                         help="campaign engine: off (serial) or a kernel ISA "
-                             "(scalar | sse2 | avx2 | avx512 | neon | auto)")
+                             "(scalar | avx2 | avx512 | neon | auto)")
     parser.add_argument("--max-resumes", type=int, default=40)
     args = parser.parse_args()
 
