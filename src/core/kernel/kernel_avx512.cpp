@@ -40,27 +40,66 @@
 namespace nb::kernel_detail {
 namespace {
 
+// GCC 12's avx512fintrin.h builds the unmasked forms of these intrinsics
+// on _mm512_undefined_epi32(), a self-initialized local that
+// -Wmaybe-uninitialized reports once it is inlined here (so -Werror builds
+// fail).  The zero-masked forms under an all-ones mask compute every lane
+// from a zero source instead: the same values, and GCC folds the mask
+// away.
+constexpr __mmask8 all_lanes = 0xFF;
+
+template <int Bits>
+NB_TGT_AVX512 inline __m512i rol64(__m512i x) {
+  return _mm512_maskz_rol_epi64(all_lanes, x, Bits);
+}
+template <unsigned Bits>
+NB_TGT_AVX512 inline __m512i shl64(__m512i x) {
+  return _mm512_maskz_slli_epi64(all_lanes, x, Bits);
+}
+template <unsigned Bits>
+NB_TGT_AVX512 inline __m512i shr64(__m512i x) {
+  return _mm512_maskz_srli_epi64(all_lanes, x, Bits);
+}
+NB_TGT_AVX512 inline __m512i mul32x32(__m512i a, __m512i b) {
+  return _mm512_maskz_mul_epu32(all_lanes, a, b);
+}
+/// Low 32 bits of each 64-bit lane.
+NB_TGT_AVX512 inline __m256i narrow32(__m512i x) {
+  return _mm512_maskz_cvtepi64_epi32(all_lanes, x);
+}
+NB_TGT_AVX512 inline __m512i widen64(__m256i x) {
+  return _mm512_maskz_cvtepu32_epi64(all_lanes, x);
+}
+template <int Scale>
+NB_TGT_AVX512 inline __m256i gather32(__m512i index, const void* base) {
+  return _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), all_lanes, index, base, Scale);
+}
+template <int Scale>
+NB_TGT_AVX512 inline __m512i gather64(__m512i index, const void* base) {
+  return _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), all_lanes, index, base, Scale);
+}
+
 /// One xoshiro256++ step for 8 lanes (same update as lane_soa::next);
 /// vprolq gives the rotates in one instruction each.
 NB_TGT_AVX512 inline __m512i xo_step(__m512i& s0, __m512i& s1, __m512i& s2, __m512i& s3) {
-  const __m512i result = _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
-  const __m512i t = _mm512_slli_epi64(s1, 17);
+  const __m512i result = _mm512_add_epi64(rol64<23>(_mm512_add_epi64(s0, s3)), s0);
+  const __m512i t = shl64<17>(s1);
   s2 = _mm512_xor_si512(s2, s0);
   s3 = _mm512_xor_si512(s3, s1);
   s1 = _mm512_xor_si512(s1, s2);
   s0 = _mm512_xor_si512(s0, s3);
   s2 = _mm512_xor_si512(s2, t);
-  s3 = _mm512_rol_epi64(s3, 45);
+  s3 = rol64<45>(s3);
   return result;
 }
 
 /// Lemire multiply-shift for 8 draws (same 96-bit product decomposition
 /// as lemire4 in kernel_avx2.cpp; bound < 2^32).
 NB_TGT_AVX512 inline void lemire8(__m512i x, __m512i bound, __m512i& candidate, __m512i& low) {
-  const __m512i lo_prod = _mm512_mul_epu32(x, bound);
-  const __m512i hi_prod = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), bound);
-  candidate = _mm512_srli_epi64(_mm512_add_epi64(hi_prod, _mm512_srli_epi64(lo_prod, 32)), 32);
-  low = _mm512_add_epi64(_mm512_slli_epi64(hi_prod, 32), lo_prod);
+  const __m512i lo_prod = mul32x32(x, bound);
+  const __m512i hi_prod = mul32x32(shr64<32>(x), bound);
+  candidate = shr64<32>(_mm512_add_epi64(hi_prod, shr64<32>(lo_prod)));
+  low = _mm512_add_epi64(shl64<32>(hi_prod), lo_prod);
 }
 
 /// Gathered snapshot loads + mask-register min-select for 8 balls: pick
@@ -68,14 +107,12 @@ NB_TGT_AVX512 inline void lemire8(__m512i x, __m512i bound, __m512i& candidate, 
 NB_TGT_AVX512 inline __m256i select8(__m512i i1, __m512i i2, __m512i c,
                                      const std::uint8_t* snap) {
   const __m256i bmask = _mm256_set1_epi32(0xFF);
-  const __m256i ga = _mm256_and_si256(
-      _mm512_i64gather_epi32(i1, reinterpret_cast<const void*>(snap), 1), bmask);
-  const __m256i gb = _mm256_and_si256(
-      _mm512_i64gather_epi32(i2, reinterpret_cast<const void*>(snap), 1), bmask);
+  const __m256i ga = _mm256_and_si256(gather32<1>(i1, snap), bmask);
+  const __m256i gb = _mm256_and_si256(gather32<1>(i2, snap), bmask);
   const __mmask8 tie = _mm512_cmplt_epi64_mask(c, _mm512_setzero_si512());
   const __mmask8 pick =
       _mm256_cmplt_epu32_mask(ga, gb) | (_mm256_cmpeq_epi32_mask(ga, gb) & tie);
-  return _mm256_mask_blend_epi32(pick, _mm512_cvtepi64_epi32(i2), _mm512_cvtepi64_epi32(i1));
+  return _mm256_mask_blend_epi32(pick, narrow32(i2), narrow32(i1));
 }
 
 NB_TGT_AVX512 void fill_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
@@ -246,10 +283,8 @@ NB_TGT_AVX512 void fill_pair_avx512_impl(lane_soa& st, std::uint64_t b1, std::ui
       const __mmask8 rej =
           _mm512_cmplt_epu64_mask(low_a, thr1) | _mm512_cmplt_epu64_mask(low_b, thr2);
 
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out1 + t + lane0),
-                          _mm512_cvtepi64_epi32(i1));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out2 + t + lane0),
-                          _mm512_cvtepi64_epi32(i2));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out1 + t + lane0), narrow32(i1));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out2 + t + lane0), narrow32(i2));
 
       if (rej != 0) [[unlikely]] {  // masked replay: rejected lanes only
         alignas(64) std::uint64_t qa[8];
@@ -280,10 +315,10 @@ NB_TGT_AVX512 void fill_pair_avx512_impl(lane_soa& st, std::uint64_t b1, std::ui
 /// sign-flip tricks needed.
 NB_TGT_AVX512 inline __m512i pick8(__m512i slot, __m512i u, const std::uint64_t* thresh,
                                    const bin_index* alias) {
-  const __m512i th = _mm512_i64gather_epi64(slot, reinterpret_cast<const void*>(thresh), 8);
-  const __m256i al32 = _mm512_i64gather_epi32(slot, reinterpret_cast<const void*>(alias), 4);
+  const __m512i th = gather64<8>(slot, thresh);
+  const __m256i al32 = gather32<4>(slot, alias);
   const __mmask8 keep = _mm512_cmplt_epu64_mask(u, th);
-  return _mm512_mask_blend_epi64(keep, _mm512_cvtepu32_epi64(al32), slot);
+  return _mm512_mask_blend_epi64(keep, widen64(al32), slot);
 }
 
 NB_TGT_AVX512 void fill_alias_avx512_impl(lane_soa& st, bin_count n, std::uint64_t threshold,

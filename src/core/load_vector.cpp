@@ -1,6 +1,7 @@
 #include "core/load_vector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -30,13 +31,47 @@ void load_state::reset() {
   lease_count_ = 0;
 }
 
+bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
+  NB_ASSERT(!loads.empty() && mn <= mx);
+  if (mx - mn > max_dense_span) return false;
+  base_ = mn;
+  min_ = mn;
+  max_ = mx;
+  n_ = static_cast<bin_count>(loads.size());
+  const auto levels = static_cast<std::size_t>(mx - mn) + 1;
+  counts_.assign(levels, 0);
+  const load_t* x = loads.data();
+  const std::size_t size = loads.size();
+  if (levels > static_cast<std::size_t>(small_span_levels)) {
+    for (std::size_t i = 0; i < size; ++i) ++counts_[static_cast<std::size_t>(x[i] - mn)];
+  } else {
+    constexpr std::size_t lanes = histogram_lanes;
+    std::array<bin_count, lanes * static_cast<std::size_t>(small_span_levels)> sub;
+    std::fill_n(sub.begin(), lanes * levels, bin_count{0});
+    std::size_t i = 0;
+    for (; i + lanes <= size; i += lanes) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ++sub[l * levels + static_cast<std::size_t>(x[i + l] - mn)];
+      }
+    }
+    for (; i < size; ++i) ++sub[static_cast<std::size_t>(x[i] - mn)];
+    for (std::size_t v = 0; v < levels; ++v) {
+      bin_count c = 0;
+      for (std::size_t l = 0; l < lanes; ++l) c += sub[l * levels + v];
+      counts_[v] = c;
+    }
+  }
+  NB_ASSERT(counts_.front() > 0 && counts_.back() > 0);
+  return true;
+}
+
 bool compact_snapshot::assign(const std::vector<load_t>& loads) {
   NB_ASSERT(!loads.empty());
   load_t mn = loads.front();
   load_t mx = loads.front();
   for (const load_t x : loads) {
-    if (x < mn) mn = x;
-    if (x > mx) mx = x;
+    mn = std::min(mn, x);
+    mx = std::max(mx, x);
   }
   base_ = mn;
   ok_ = (mx - mn) <= 255;
@@ -50,10 +85,13 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads) {
     advise_hugepages(off_.data(), off_.size());
     advised_ = off_.data();
   }
-  for (std::size_t i = 0; i < n_; ++i) {
-    off_[i] = static_cast<std::uint8_t>(loads[i] - mn);
-  }
-  for (std::size_t p = n_; p < off_.size(); ++p) off_[p] = 0;
+  // Through locals: a byte store may alias any member (n_ included),
+  // which would keep the loop from vectorizing.
+  const load_t* x = loads.data();
+  std::uint8_t* off = off_.data();
+  const std::size_t n = n_;
+  for (std::size_t i = 0; i < n; ++i) off[i] = static_cast<std::uint8_t>(x[i] - mn);
+  std::fill_n(off + n, tail_padding, std::uint8_t{0});
   return true;
 }
 
@@ -89,41 +127,60 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
   sum_rows(out, 0, n_);
 }
 
+template <typename Next>
+void load_state::rewrite_loads(const Next& next) {
+  load_t* x = loads_.data();
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = 0;
+  for (std::size_t i = 0; i < loads_.size(); ++i) {
+    const load_t updated = next(x[i], i);
+    x[i] = updated;
+    mn = std::min(mn, updated);
+    mx = std::max(mx, updated);
+  }
+  levels_ok_ = levels_.rebuild(loads_, mn, mx);
+}
+
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
                                   weight_t weight_per_ball) {
   NB_ASSERT(!bulk_);
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
+  // Validate the whole window BEFORE mutating any bin (strong exception
+  // safety, like allocate(i, w)): a throw must not leave a prefix of bins
+  // inflated while balls_/levels_ still reflect the old state.  One pass
+  // over `add` alone yields the ball total and the largest per-bin count.
   step_count total = 0;
-  for (const std::uint32_t a : add) total += a;
+  std::uint32_t peak = 0;
+  for (const std::uint32_t a : add) {
+    total += a;
+    peak = std::max(peak, a);
+  }
+  NB_REQUIRE(total <= max_run_balls - balls_,
+             "window would exceed the run's ball ceiling (max_run_balls)");
   // Same int64-overflow audit as the weighted allocate(), phrased as a
   // division so the bound itself cannot overflow (total * weight_per_ball
   // may exceed int64 at the ceilings' corner).
   NB_REQUIRE(total <= (max_total_weight - total_weight()) / weight_per_ball,
              "window would overflow the total-weight accumulator (max_total_weight)");
-  if (weight_per_ball == 1) {
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      loads_[i] += static_cast<load_t>(add[i]);
-    }
-  } else {
-    // Validate every bin BEFORE mutating any (strong exception safety,
-    // like allocate(i, w)): a mid-loop throw must not leave a prefix of
-    // bins inflated while balls_/levels_ still reflect the old state.
-    constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+  // No bin may cross its 32-bit load.  max_load() + peak * weight bounds
+  // every updated bin, so only a window that bound cannot clear pays the
+  // exact per-bin check.
+  constexpr auto bin_cap = static_cast<weight_t>(std::numeric_limits<load_t>::max());
+  if (static_cast<weight_t>(max_load()) + static_cast<weight_t>(peak) * weight_per_ball >
+      bin_cap) {
     for (std::size_t i = 0; i < loads_.size(); ++i) {
       NB_REQUIRE(static_cast<weight_t>(loads_[i]) +
                          static_cast<weight_t>(add[i]) * weight_per_ball <=
                      bin_cap,
-                 "window would overflow a bin's 32-bit load");
-    }
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-      loads_[i] += static_cast<load_t>(static_cast<weight_t>(add[i]) * weight_per_ball);
+                 "window would overflow bin " + std::to_string(i) + "'s 32-bit load");
     }
   }
+  const auto w = static_cast<load_t>(weight_per_ball);
+  rewrite_loads([&](load_t x, std::size_t i) { return x + static_cast<load_t>(add[i]) * w; });
   balls_ += total;
   extra_weight_ += total * (weight_per_ball - 1);
-  NB_ASSERT(balls_ <= max_run_balls);
   if (lease_on_ && total > 0) {
     // A merged window has no per-ball arrival order; record residents in
     // bin-index order.  That order is a pure function of the merged
@@ -137,7 +194,6 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
       }
     }
   }
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::apply_increments(const std::vector<std::int64_t>& delta,
@@ -170,12 +226,9 @@ void load_state::apply_increments(const std::vector<std::int64_t>& delta,
              "signed window would leave the extra-weight accumulator negative");
   NB_REQUIRE(net <= max_total_weight - total_weight(),
              "window would overflow the total-weight accumulator (max_total_weight)");
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] = static_cast<load_t>(static_cast<weight_t>(loads_[i]) + delta[i]);
-  }
+  rewrite_loads([&](load_t x, std::size_t i) { return x + static_cast<load_t>(delta[i]); });
   balls_ = balls_after;
   extra_weight_ = extra_after;
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
@@ -204,12 +257,10 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] -= static_cast<load_t>(static_cast<weight_t>(rel[i]) * weight_per_ball);
-  }
+  const auto w = static_cast<load_t>(weight_per_ball);
+  rewrite_loads([&](load_t x, std::size_t i) { return x - static_cast<load_t>(rel[i]) * w; });
   balls_ -= k;
   extra_weight_ -= k * (weight_per_ball - 1);
-  levels_ok_ = levels_.rebuild(loads_);
 }
 
 void load_state::save(state_writer& w) const {

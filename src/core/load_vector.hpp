@@ -149,6 +149,11 @@ class level_index {
     return true;
   }
 
+  /// Spans of at most this many levels build their histogram over
+  /// histogram_lanes interleaved sub-counters (see rebuild).
+  static constexpr load_t small_span_levels = 256;
+  static constexpr std::size_t histogram_lanes = 8;
+
   /// From-scratch recomputation, used to reconcile after a bulk window in
   /// which per-allocation maintenance was deferred.  O(n + span); yields a
   /// state query-identical to incremental maintenance of the same loads.
@@ -157,18 +162,20 @@ class level_index {
     load_t mn = loads.front();
     load_t mx = loads.front();
     for (const load_t x : loads) {
-      if (x < mn) mn = x;
-      if (x > mx) mx = x;
+      mn = std::min(mn, x);
+      mx = std::max(mx, x);
     }
-    if (mx - mn > max_dense_span) return false;
-    base_ = mn;
-    min_ = mn;
-    max_ = mx;
-    n_ = static_cast<bin_count>(loads.size());
-    counts_.assign(static_cast<std::size_t>(mx - mn) + 1, 0);
-    for (const load_t x : loads) ++counts_[static_cast<std::size_t>(x - mn)];
-    return true;
+    return rebuild(loads, mn, mx);
   }
+
+  /// rebuild() for callers that already hold the loads' exact bounds
+  /// [mn, mx] -- the window commits fold them into their update pass, so
+  /// the index costs one more pass over the loads, not two.  Most bins
+  /// sit on a handful of levels, so with one counter array consecutive
+  /// increments mostly hit the same counter and serialize on its store;
+  /// spans up to small_span_levels count into histogram_lanes
+  /// independent sub-histograms instead and sum them afterwards.
+  [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx);
 
   [[nodiscard]] load_t min_level() const noexcept { return min_; }
   [[nodiscard]] load_t max_level() const noexcept { return max_; }
@@ -588,6 +595,13 @@ class load_state {
     bulk_ = false;
     levels_ok_ = levels_.rebuild(loads_);
   }
+
+  /// The window commits' single update pass: loads_[i] = next(loads_[i],
+  /// i) for every bin (already validated to stay in [0, INT32_MAX]), with
+  /// the new bounds folded into the same pass and handed to the level
+  /// index's rebuild.
+  template <typename Next>
+  void rewrite_loads(const Next& next);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

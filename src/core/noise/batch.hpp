@@ -140,10 +140,18 @@ class b_batch {
     state_.apply_increments(inc, model_.weighting.fixed_weight());
     const bin_count n = state_.n();
     if (state_.balls() % b_ == 0) {
-      for (const bin_index i : touched_) stale_[i] = state_.load(i);
-      touched_.clear();
+      refresh_snapshot();
+      // Branch-free: at b = n about 37% of the bins get no ball, so a
+      // branch on inc[i] != 0 would mispredict often.  Bins the window
+      // did not touch keep their snapshot entry: after departures it may
+      // differ from their load, so this is a select, not a copy.  Spelled
+      // as a mask blend because GCC turns the equivalent ?: back into a
+      // branch.
+      const load_t* loads = state_.loads().data();
+      load_t* stale = stale_.data();
       for (bin_index i = 0; i < n; ++i) {
-        if (inc[i] != 0) stale_[i] = state_.load(i);
+        const load_t take = static_cast<load_t>(inc[i] == 0) - 1;  // ~0 if touched
+        stale[i] = (loads[i] & take) | (stale[i] & ~take);
       }
     } else {
       for (bin_index i = 0; i < n; ++i) {

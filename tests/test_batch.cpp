@@ -117,6 +117,102 @@ TEST(BBatch, ResetClearsSnapshotState) {
   EXPECT_EQ(p.state().loads(), q.state().loads());
 }
 
+/// A b-Batch run (random departures configured) after `arrivals` serial
+/// balls and then `departures` per-event departures.  Departures never
+/// refresh the snapshot, so afterwards some entries differ from the loads.
+b_batch churned_batch(bin_count n, step_count b, step_count arrivals, int departures,
+                      rng_t& rng) {
+  b_batch p(n, b);
+  alloc_model model;
+  model.departures = departure_model::random();
+  p.set_model(model);
+  p.step_many(rng, arrivals);
+  for (int d = 0; d < departures; ++d) p.depart(rng);
+  return p;
+}
+
+/// Merged window counts: `balls` balls spread over bins [lo, hi).
+std::vector<std::uint32_t> window_counts(bin_count n, step_count balls, bin_index lo,
+                                         bin_index hi, rng_t& rng) {
+  std::vector<std::uint32_t> inc(n, 0);
+  for (step_count t = 0; t < balls; ++t) ++inc[lo + bounded(rng, hi - lo)];
+  return inc;
+}
+
+std::vector<load_t> reported_loads(const b_batch& p) {
+  std::vector<load_t> out(p.state().n());
+  for (bin_index i = 0; i < p.state().n(); ++i) out[i] = p.reported_load(i);
+  return out;
+}
+
+TEST(BBatch, BoundaryCommitAfterDeparturesKeepsUntouchedSnapshot) {
+  const bin_count n = 64;
+  const step_count b = 16;
+  rng_t rng(21);
+  b_batch p = churned_batch(n, b, 64, 32, rng);
+  ASSERT_EQ(p.snapshot_window(), b);  // 32 balls left: a whole batch ahead
+  const std::vector<load_t> loads = p.state().loads();
+  const std::vector<load_t> stale = reported_loads(p);
+  const std::vector<std::uint32_t> inc = window_counts(n, b, 0, n, rng);
+
+  // Naive reference: loads gain inc; entries of bins the window touched
+  // refresh to the new loads; every other entry stays as it was.
+  std::vector<load_t> want_loads = loads;
+  std::vector<load_t> want_stale = stale;
+  int kept_differing = 0;
+  for (bin_index i = 0; i < n; ++i) {
+    want_loads[i] += static_cast<load_t>(inc[i]);
+    if (inc[i] != 0) {
+      want_stale[i] = want_loads[i];
+    } else if (stale[i] != loads[i]) {
+      ++kept_differing;
+    }
+  }
+  ASSERT_GT(kept_differing, 0) << "no untouched bin whose snapshot differs from its load";
+
+  p.commit_window(inc, b);
+  EXPECT_EQ(p.state().loads(), want_loads);
+  EXPECT_EQ(reported_loads(p), want_stale);
+}
+
+TEST(BBatch, PartialWindowsRecordTouchedBins) {
+  // Two partial windows on disjoint bin ranges, then the window that ends
+  // the batch on a third: the boundary must refresh every bin any of the
+  // three touched, and only those.
+  const bin_count n = 64;
+  const step_count b = 16;
+  rng_t rng(22);
+  b_batch p = churned_batch(n, b, 64, 32, rng);
+  const std::vector<load_t> stale = reported_loads(p);
+  const std::vector<std::vector<std::uint32_t>> windows = {
+      window_counts(n, 3, 0, 20, rng), window_counts(n, 4, 20, 40, rng),
+      window_counts(n, b - 7, 40, n, rng)};
+  std::vector<bool> touched(n, false);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    step_count balls = 0;
+    for (bin_index i = 0; i < n; ++i) {
+      balls += windows[w][i];
+      if (windows[w][i] != 0) touched[i] = true;
+    }
+    p.commit_window(windows[w], balls);
+    if (w + 1 < windows.size()) {
+      EXPECT_EQ(reported_loads(p), stale) << "snapshot moved mid-batch after window " << w;
+    }
+  }
+  ASSERT_EQ(p.snapshot_window(), b);
+  std::vector<load_t> want_stale = stale;
+  int kept_differing = 0;
+  for (bin_index i = 0; i < n; ++i) {
+    if (touched[i]) {
+      want_stale[i] = p.state().load(i);
+    } else if (stale[i] != p.state().load(i)) {
+      ++kept_differing;
+    }
+  }
+  ASSERT_GT(kept_differing, 0) << "no untouched bin whose snapshot differs from its load";
+  EXPECT_EQ(reported_loads(p), want_stale);
+}
+
 TEST(BBatch, NameEncodesBatchSize) { EXPECT_EQ(b_batch(8, 3).name(), "b-batch[b=3]"); }
 
 }  // namespace

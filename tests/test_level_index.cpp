@@ -161,6 +161,107 @@ TEST(LevelIndex, StaysConsistentUnderEveryProcess) {
   }
 }
 
+/// Every query of two indexes over the same loads agrees.
+void expect_same_index(const level_index& got, const level_index& want) {
+  ASSERT_EQ(got.min_level(), want.min_level());
+  ASSERT_EQ(got.max_level(), want.max_level());
+  EXPECT_EQ(got.bins(), want.bins());
+  EXPECT_EQ(got.level_count(), want.level_count());
+  for (load_t l = want.min_level() - 1; l <= want.max_level() + 1; ++l) {
+    EXPECT_EQ(got.count_at(l), want.count_at(l)) << "level " << l;
+  }
+}
+
+/// Bins at `base`, `base + span` and random levels in between, reached one
+/// allocate() at a time so the state's index is incrementally maintained.
+load_state incremental_state(bin_count n, load_t base, load_t span, std::uint64_t seed) {
+  load_state s(n);
+  rng_t rng(seed);
+  for (bin_index i = 0; i < n; ++i) {
+    load_t target = base + span;
+    if (i == 0) target = base;
+    if (i >= 2) {
+      target = base + static_cast<load_t>(bounded(rng, static_cast<std::uint64_t>(span) + 1));
+    }
+    for (load_t k = 0; k < target; ++k) s.allocate(i);
+  }
+  return s;
+}
+
+TEST(LevelIndex, RebuildMatchesIncrementalMaintenanceAndRecount) {
+  // Spans on both sides of the sub-counter fast path's limit plus a wide
+  // one, over lengths that are and are not multiples of the sub-counter
+  // count.
+  const load_t small = level_index::small_span_levels;
+  const auto lanes = static_cast<bin_count>(level_index::histogram_lanes);
+  for (const load_t span : {0, 1, 16, small - 2, small - 1, small, 3000}) {
+    for (const bin_count n : {bin_count{1}, bin_count{2}, lanes - 1, lanes, lanes + 1,
+                              3 * lanes + 5}) {
+      if (n == 1 && span > 0) continue;  // one bin has no span
+      SCOPED_TRACE("span " + std::to_string(span) + ", n " + std::to_string(n));
+      const load_state s =
+          incremental_state(n, 3, span, static_cast<std::uint64_t>(span) * 31 + n);
+      expect_levels_consistent(s);  // incremental index vs naive recount
+      ASSERT_EQ(s.max_load() - s.min_load(), span);
+      level_index rebuilt;
+      ASSERT_TRUE(rebuilt.rebuild(s.loads()));
+      expect_same_index(rebuilt, s.levels());
+      level_index bounded_rebuild;
+      ASSERT_TRUE(bounded_rebuild.rebuild(s.loads(), s.min_load(), s.max_load()));
+      expect_same_index(bounded_rebuild, s.levels());
+    }
+  }
+}
+
+TEST(LevelIndex, WindowCommitsMatchPerBallMaintenance) {
+  // Each merged commit (unit and fixed-weight increments, signed deltas,
+  // bulk releases) rebuilds the index from bounds folded into its update
+  // pass; it must equal the same balls placed or removed one at a time.
+  for (const bin_count n : {bin_count{1}, bin_count{7}, bin_count{8}, bin_count{300}}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    rng_t rng(n);
+    load_state merged(n);
+    load_state per_ball(n);
+    for (int round = 0; round < 6; ++round) {
+      const weight_t w = round % 2 == 0 ? 1 : 5;
+      std::vector<std::uint32_t> add(n);
+      for (bin_index i = 0; i < n; ++i) {
+        add[i] = static_cast<std::uint32_t>(bounded(rng, round == 5 ? 400 : 4));
+        for (std::uint32_t k = 0; k < add[i]; ++k) per_ball.allocate(i, w);
+      }
+      merged.apply_increments(add, w);
+      ASSERT_EQ(merged.loads(), per_ball.loads());
+      expect_levels_consistent(merged);
+      expect_same_index(merged.levels(), per_ball.levels());
+
+      std::vector<std::uint32_t> rel(n);
+      step_count k = 0;
+      for (bin_index i = 0; i < n; ++i) {
+        rel[i] = static_cast<std::uint32_t>(bounded(rng, add[i] + 1));
+        for (std::uint32_t j = 0; j < rel[i]; ++j) per_ball.release(i, w);
+        k += rel[i];
+      }
+      merged.apply_releases(rel, w, k);
+      ASSERT_EQ(merged.loads(), per_ball.loads());
+      expect_levels_consistent(merged);
+      expect_same_index(merged.levels(), per_ball.levels());
+    }
+    // A signed window: one unit ball into bin 0, one out of the fullest bin.
+    std::vector<std::int64_t> delta(n, 0);
+    const auto fullest = static_cast<bin_index>(
+        std::max_element(per_ball.loads().begin(), per_ball.loads().end()) -
+        per_ball.loads().begin());
+    delta[0] += 1;
+    delta[fullest] -= 1;
+    per_ball.allocate(0);
+    per_ball.release(fullest);
+    merged.apply_increments(delta, 0);
+    ASSERT_EQ(merged.loads(), per_ball.loads());
+    expect_levels_consistent(merged);
+    expect_same_index(merged.levels(), per_ball.levels());
+  }
+}
+
 TEST(LevelIndex, GapAndUnderloadGapUseIndexedExtremes) {
   load_state s(4);
   for (int k = 0; k < 7; ++k) s.allocate(0);

@@ -259,10 +259,32 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
   EXPECT_THROW(s.allocate(0, w), contract_error);
   EXPECT_EQ(static_cast<weight_t>(s.load(0)), safe * w);
   EXPECT_EQ(s.total_weight(), safe * w);
-  // The merged-window path guards identically.
-  std::vector<std::uint32_t> add = {1, 0};
-  EXPECT_THROW(s.apply_increments(add, w), contract_error);
-  add = {0, 1};
+  // The merged-window path guards identically, for weighted and unit
+  // balls alike, and a refused window leaves the state untouched.
+  const auto expect_refused = [](load_state& state, const std::vector<std::uint32_t>& add,
+                                 weight_t weight) {
+    const std::vector<load_t> loads = state.loads();
+    const step_count balls = state.balls();
+    const weight_t total = state.total_weight();
+    const load_t mn = state.min_load();
+    const load_t mx = state.max_load();
+    EXPECT_THROW(state.apply_increments(add, weight), contract_error);
+    EXPECT_EQ(state.loads(), loads);
+    EXPECT_EQ(state.balls(), balls);
+    EXPECT_EQ(state.total_weight(), total);
+    EXPECT_EQ(state.min_load(), mn);
+    EXPECT_EQ(state.max_load(), mx);
+  };
+  expect_refused(s, {1, 0}, w);
+  // 127 * 2^24 + 2e7 unit balls crosses INT32_MAX in bin 0 even though
+  // the ball and weight totals stay far below their ceilings.
+  expect_refused(s, {20000000, 0}, 1);
+  // 3e9 unit balls overflow both the bin and the run's ball ceiling;
+  // split over two bins, only the ball ceiling.
+  load_state fresh(4);
+  expect_refused(fresh, {3000000000u, 0, 0, 0}, 1);
+  expect_refused(fresh, {1500000000u, 1500000000u, 0, 0}, 1);
+  const std::vector<std::uint32_t> add = {0, 1};
   s.apply_increments(add, w);  // the other bin still has room
   EXPECT_EQ(static_cast<weight_t>(s.load(1)), w);
 }
