@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <string>
 #include <thread>
@@ -37,34 +38,11 @@
 namespace {
 
 using namespace nb;
-using nb::bench::stopwatch;
 using nb::bench::time_median_of;
 using nb::bench::timing_stats;
 
-/// timing_stats over externally collected shot times (the paired
-/// tuned/untuned legs time their own shots instead of time_median_of).
-timing_stats stats_from_samples(std::vector<double> samples, int warmup) {
-  std::sort(samples.begin(), samples.end());
-  timing_stats out;
-  out.warmup = warmup;
-  out.reps = static_cast<int>(samples.size());
-  out.min_s = samples.front();
-  out.max_s = samples.back();
-  const std::size_t mid = samples.size() / 2;
-  out.median_s =
-      samples.size() % 2 != 0 ? samples[mid] : 0.5 * (samples[mid - 1] + samples[mid]);
-  return out;
-}
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 != 0 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-
 constexpr int kWarmup = 1;  // untimed warm-in shots per workload
 constexpr int kReps = 3;    // timed reps; medians suppress scheduling noise
-constexpr int kTuningPairs = 5;  // alternating tuned/untuned shot pairs
 
 struct measurement {
   timing_stats timing;
@@ -164,9 +142,6 @@ double report_observed_run(bin_count n, step_count m, step_count interval, std::
 //                        supports (avx2 / avx512 / neon;
 //                        bit-identical to scalar by contract, verified
 //                        here run against run),
-//   * kernel-untuned  -- the best backend with software prefetch and
-//                        window interleaving off (the memory-latency
-//                        tuning's recorded before/after),
 //   * shard-parallel  -- the intra-run shard engine, kernel inside shards.
 // Every leg is timed warm (kWarmup) with median-of-kReps.
 
@@ -206,7 +181,7 @@ scale_measurement scale_observed_run(bin_count n, step_count m, step_count inter
 
 /// One timed leg of the scale benchmark (a row of the JSON results array).
 struct scale_entry {
-  std::string kernel;  // off | kernel | kernel-untuned | shard | campaign
+  std::string kernel;  // off | kernel | shard | campaign
   std::string isa;     // resolved backend ("none" for the fused loop)
   std::size_t threads = 1;
   std::string process = "b-batch";   // workload the leg times
@@ -222,13 +197,11 @@ struct scale_entry {
   /// baseline number is attributable: the CPU's detected best backend, a
   /// --isa override if one forced the legs ("" = none), the huge-page
   /// outcome (off / granted / fallback + errno) observed while the leg
-  /// allocated its buffers, and the kernel tuning in effect.
+  /// allocated its buffers.
   std::string isa_detected;
   std::string isa_forced;
   std::string hugepages = "off";
   int hugepage_errno = 0;
-  bool prefetch = true;
-  bool interleave = true;
   /// Scaling-matrix legs additionally report speedup and efficiency
   /// against the matrix's 1-thread leg, plus whether the single-threaded
   /// parity replay passed (it exits on failure, so an emitted leg always
@@ -259,9 +232,6 @@ void annotate_env(scale_entry& entry, const hugepage_stats_t& before) {
   } else {
     entry.hugepages = "off";
   }
-  const kernel_tuning tune = current_kernel_tuning();
-  entry.prefetch = tune.prefetch;
-  entry.interleave = tune.interleave;
 }
 
 /// "ipc 1.23, llc 4.5e+07" console tail for a leg, or the explicit
@@ -537,72 +507,14 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
         }));
   }
 
-  // Untuned leg: the best requested backend re-timed with software
-  // prefetch and window interleaving off.  Tuning is execution-only
-  // (bit-identical by contract, revalidated by the parity sweep below),
-  // so this tuned/untuned pair is the recorded evidence of what the
-  // memory-latency work buys.  Keyed "kernel-untuned" so the regression
-  // gate tracks it separately from the tuned leg of the same ISA.
-  //
-  // Timed as PAIRED alternating shots (tuned, untuned, tuned, ...): on
-  // shared/virtualized hosts slow drift between two separately timed
-  // legs swamps a few-percent tuning delta, while the per-pair ratio
-  // cancels it.  kernel_tuning_speedup is the median per-pair ratio.
-  double tuning_speedup = 0.0;
-  {
-    const kernel_tuning tuned_cfg = current_kernel_tuning();
-    kernel_engine engine(kernel_options{.lanes = lanes, .isa = backends.back()});
-    const auto move = [&engine](b_batch& p, rng_t& rng, step_count chunk) {
-      engine.step_many(p, rng, chunk);
-    };
-    scale_entry entry;
-    entry.kernel = "kernel-untuned";
-    entry.isa = kernel_isa_name(engine.isa());
-    entry.threads = 1;
-    const hugepage_stats_t hp_before = hugepage_stats();
-    perf_counter_set counters;
-    counters.start();
-    (void)scale_observed_run(n, m, interval, seed, move);  // warm-in
-    std::vector<double> untuned_s;
-    std::vector<double> ratios;
-    for (int pair = 0; pair < kTuningPairs; ++pair) {
-      double tuned_shot = 0.0;
-      {
-        const stopwatch clock;
-        (void)scale_observed_run(n, m, interval, seed, move);
-        tuned_shot = clock.seconds();
-      }
-      set_kernel_tuning(kernel_tuning{.prefetch = false, .interleave = false});
-      {
-        const stopwatch clock;
-        entry.run = scale_observed_run(n, m, interval, seed, move);
-        untuned_s.push_back(clock.seconds());
-      }
-      set_kernel_tuning(tuned_cfg);
-      ratios.push_back(untuned_s.back() / tuned_shot);  // > 1 = tuning wins
-    }
-    entry.perf = counters.stop();
-    annotate_env(entry, hp_before);
-    entry.prefetch = false;  // what the leg's timed shots ran under
-    entry.interleave = false;
-    entry.timing = stats_from_samples(untuned_s, 1);
-    tuning_speedup = median_of(ratios);
-    std::printf("  %-10s isa=%-7s t=1 %12.3e balls/s   (min %.3e, max %.3e, gap %.1f, %s)\n",
-                entry.kernel.c_str(), entry.isa.c_str(), entry.timing.rate_median(work),
-                entry.timing.rate_min(work), entry.timing.rate_max(work), entry.run.gap,
-                perf_note(entry.perf).c_str());
-    results.push_back(std::move(entry));
-  }
-  const std::size_t untuned_leg = results.size() - 1;
-
-  // Kernel contract spot-check at full scale: every kernel leg -- all
-  // backends AND the untuned leg -- ran the same (seed, lanes) sampling,
-  // so loads AND observations must be bit-identical across the board.
+  // Kernel contract spot-check at full scale: every backend leg ran the
+  // same (seed, lanes) sampling, so loads AND observations must be
+  // bit-identical across the board.
   for (std::size_t i = first_kernel_leg + 1; i < results.size(); ++i) {
     if (results[i].run.loads != results[first_kernel_leg].run.loads ||
         results[i].run.sink != results[first_kernel_leg].run.sink) {
-      std::printf("ISA PARITY FAILURE: %s (%s) diverged from %s\n", results[i].isa.c_str(),
-                  results[i].kernel.c_str(), results[first_kernel_leg].isa.c_str());
+      std::printf("ISA PARITY FAILURE: %s diverged from %s\n", results[i].isa.c_str(),
+                  results[first_kernel_leg].isa.c_str());
       std::exit(1);
     }
   }
@@ -615,10 +527,10 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                 backends.size(), kernel_isa_name(backends.front()),
                 kernel_isa_name(backends.back()));
   }
-  // Headline speedup: the fastest tuned kernel leg (backends.back() is
-  // the best requested ISA in every mode, but let the measurement decide).
+  // Headline speedup: the fastest kernel leg (backends.back() is the best
+  // requested ISA in every mode, but let the measurement decide).
   std::size_t best_kernel_leg = first_kernel_leg;
-  for (std::size_t i = first_kernel_leg; i < untuned_leg; ++i) {
+  for (std::size_t i = first_kernel_leg; i < results.size(); ++i) {
     if (results[i].timing.rate_median(work) >
         results[best_kernel_leg].timing.rate_median(work)) {
       best_kernel_leg = i;
@@ -628,9 +540,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
       results[best_kernel_leg].timing.rate_median(work) / fused_rate;
   std::printf("  kernel vs fused       %14.2fx (%s, 1 thread)\n", kernel_speedup,
               results[best_kernel_leg].isa.c_str());
-  std::printf("  tuned vs untuned      %14.2fx (prefetch + interleave on %s, median of %d "
-              "paired shots)\n",
-              tuning_speedup, results[untuned_leg].isa.c_str(), kTuningPairs);
 
   // Shard leg: the shard-parallel engine with the kernel inside each
   // shard (counters before the engine so pool threads are inherited).
@@ -876,7 +785,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                    "     \"departures\": \"%s\",\n"
                    "     \"isa_detected\": \"%s\", \"isa_forced\": %s%s%s,\n"
                    "     \"hugepages\": \"%s\", \"hugepage_errno\": %d,\n"
-                   "     \"prefetch\": %s, \"interleave\": %s,\n"
                    "     \"balls_per_sec\": %.6e, \"balls_per_sec_min\": %.6e,\n"
                    "     \"balls_per_sec_max\": %.6e, \"seconds_median\": %.6f,\n"
                    "     \"gap\": %.2f",
@@ -885,7 +793,6 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
                    e.isa_detected.c_str(),
                    e.isa_forced.empty() ? "null" : "\"", e.isa_forced.c_str(),
                    e.isa_forced.empty() ? "" : "\"", e.hugepages.c_str(), e.hugepage_errno,
-                   e.prefetch ? "true" : "false", e.interleave ? "true" : "false",
                    e.timing.rate_median(leg_work), e.timing.rate_min(leg_work),
                    e.timing.rate_max(leg_work), e.timing.median_s, e.run.gap);
       if (e.has_scaling) {
@@ -919,9 +826,8 @@ void run_scale_benchmark(bin_count n, step_count m, std::size_t threads, std::si
     std::fprintf(f,
                  "  ],\n"
                  "  \"kernel_vs_fused_speedup\": %.4f,\n"
-                 "  \"kernel_tuning_speedup\": %.4f,\n"
                  "  \"shard_vs_fused_speedup\": %.4f,\n",
-                 kernel_speedup, tuning_speedup, shard.timing.rate_median(work) / fused_rate);
+                 kernel_speedup, shard.timing.rate_median(work) / fused_rate);
     // Per-channel batched-departure speedups: churn-kernel events/s over
     // the serial churn reference on the same channel.
     if (churn_speedups.empty()) {
@@ -978,9 +884,7 @@ std::vector<std::size_t> parse_count_list(const std::string& flag, const std::st
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   cli_parser cli(
       "Throughput of the per-ball vs bulk (step_many) allocation paths.\n"
       "Columns: balls/sec per-ball, balls/sec bulk, speedup.");
@@ -1112,4 +1016,15 @@ int main(int argc, char** argv) {
                         cli.get_string("json"));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

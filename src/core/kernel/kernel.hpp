@@ -23,9 +23,7 @@
 // set backend -- scalar, AVX2, AVX-512 or NEON, selected at runtime
 // -- is execution only and NEVER affects results; `lanes` is a sampling
 // parameter exactly like shard_options::shards (changing it changes which
-// lane streams exist and therefore the drawn randomness).  The same holds
-// for the kernel_tuning knobs (software prefetch, round interleaving):
-// they reorder memory traffic, never draws.
+// lane streams exist and therefore the drawn randomness).
 //
 // Snapshot gather safety: vector backends read the snapshot 4 bytes at a
 // time, so `snap` must stay readable for 3 bytes past index n - 1.
@@ -76,29 +74,6 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// Inverse of kernel_isa_name, plus the aliases "simd" (= auto_detect)
 /// used by bench CLIs.  nullopt for anything else.
 [[nodiscard]] std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept;
-
-/// Memory-latency tuning of the kernel's execution.  Execution-only, like
-/// the ISA backend: every combination is bit-identical (gtest-enforced) --
-/// prefetching and round interleaving reorder loads and stores, never the
-/// lane draws.  Defaults come from the environment once per process
-/// (NB_KERNEL_PREFETCH / NB_KERNEL_INTERLEAVE, "0" or "off" disables) and
-/// can be overridden programmatically for A/B benching.
-struct kernel_tuning {
-  /// Software-prefetch the count row entries a fixed distance ahead while
-  /// folding a decided block (the dominant cache-miss source at paper
-  /// scale: random increments over a 4 MB row).
-  bool prefetch = true;
-  /// Wide backends (AVX-512) draw and decide two lane rounds per loop
-  /// iteration so the two rounds' snapshot gathers overlap in flight.
-  bool interleave = true;
-};
-
-/// The process-wide tuning currently in effect (env-seeded on first use).
-[[nodiscard]] kernel_tuning current_kernel_tuning() noexcept;
-
-/// Replaces the process-wide tuning (bench/tests; thread-safe, takes
-/// effect on the next kernel_run call).
-void set_kernel_tuning(kernel_tuning tuning) noexcept;
 
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
 /// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per

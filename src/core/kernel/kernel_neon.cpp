@@ -208,13 +208,13 @@ void fill_alias_neon_impl(lane_soa& st, bin_count n, std::uint64_t threshold,
 }  // namespace
 
 void fill_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
-               std::uint32_t* chosen, std::size_t balls, kernel_tuning /*tune*/) {
+               std::uint32_t* chosen, std::size_t balls) {
   fill_neon_impl(st, n, threshold, snap, chosen, balls);
 }
 
 void fill_alias_neon(lane_soa& st, bin_count n, std::uint64_t threshold, const std::uint8_t* snap,
                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* chosen,
-                     std::size_t balls, kernel_tuning /*tune*/) {
+                     std::size_t balls) {
   fill_alias_neon_impl(st, n, threshold, snap, thresh, alias, chosen, balls);
 }
 

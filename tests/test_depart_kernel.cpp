@@ -398,13 +398,16 @@ TEST(DepartKernel, RandomLawIsMultivariateHypergeometricOnBothSamplers) {
 TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
   // over awkward shapes, for both channels: remainder lanes (1, 3, 5),
-  // tiny bins, and event counts that cross the driver's 8192-event block.
+  // one AVX-512 vector plus remainder lanes (13), whole vectors (8, 16,
+  // 64), tiny bins, and event counts that cross the driver's 8192-event
+  // block.
   const auto isas = supported_backends();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{64}}) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{3}, std::size_t{5}, std::size_t{8}, std::size_t{13},
+          std::size_t{16}, std::size_t{64}}) {
       for (const step_count k : {step_count{1}, step_count{63}, step_count{1000},
                                  step_count{20000}}) {
         for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
@@ -522,31 +525,6 @@ TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
       }
     }
   }
-}
-
-TEST(DepartKernel, TuningIsExecutionOnly) {
-  // The memory-latency knobs reorder loads and stores in the fill
-  // backends, never draws: both channels stay bit-identical under every
-  // combination, on every backend.
-  const kernel_tuning saved = current_kernel_tuning();
-  const bin_count n = 257;
-  const auto snap = make_snapshot(n);
-  for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-    set_kernel_tuning(kernel_tuning{.prefetch = true, .interleave = true});
-    const auto reference =
-        depart_counts(kernel_isa::scalar, 13, channel, n, snap, 500, 1, 30000, 2026);
-    for (const bool prefetch : {false, true}) {
-      for (const bool interleave : {false, true}) {
-        set_kernel_tuning(kernel_tuning{.prefetch = prefetch, .interleave = interleave});
-        for (const kernel_isa isa : supported_backends()) {
-          EXPECT_EQ(depart_counts(isa, 13, channel, n, snap, 500, 1, 30000, 2026), reference)
-              << kernel_isa_name(isa) << " channel=" << static_cast<int>(channel)
-              << " prefetch=" << prefetch << " interleave=" << interleave;
-        }
-      }
-    }
-  }
-  set_kernel_tuning(saved);
 }
 
 // ---------------------------------------------------------------------------

@@ -171,14 +171,16 @@ TEST(Kernel, ReplayBallConsumesQueueThenLiveStream) {
 TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
   // Every supported backend must reproduce the scalar counts bit for bit
   // over awkward shapes: lane counts that leave NEON/AVX2 remainder lanes
-  // (1, 3, 5, 7), tiny bins, ball counts that end mid-round, and multiple
+  // (1, 3, 5), one AVX-512 vector plus remainder lanes (13), whole vectors
+  // (8, 16, 64), tiny bins, ball counts that end mid-round, and multiple
   // blocks (balls > the driver's 8192-ball block).
   const auto isas = supported_backends();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{64}}) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{3}, std::size_t{5}, std::size_t{8}, std::size_t{13},
+          std::size_t{16}, std::size_t{64}}) {
       for (const step_count balls : {step_count{1}, step_count{63}, step_count{1000},
                                      step_count{20000}}) {
         const auto reference = kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, 31337);
@@ -209,8 +211,9 @@ std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, std::size_t lanes
 
 TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // The alias lane path's backend contract, over the same awkward shapes
-  // as the uniform path: remainder lanes, tiny bins, mid-round tails,
-  // multi-block runs.  AVX2 uses hardware gathers for the threshold /
+  // as the uniform path: remainder lanes, one AVX-512 vector plus
+  // remainder lanes (13) and two whole vectors (16), tiny bins, mid-round
+  // tails, multi-block runs.  AVX2 uses hardware gathers for the threshold /
   // alias / snapshot lookups; NEON vectorizes only the draw generation --
   // all must match the scalar reference bit for bit.
   const auto isas = supported_backends();
@@ -219,7 +222,8 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
     std::vector<double> weights(n);
     for (bin_count i = 0; i < n; ++i) weights[i] = 1.0 / (1.0 + static_cast<double>(i));
     const alias_table table(weights);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{13}, std::size_t{16}}) {
       for (const step_count balls : {step_count{1}, step_count{63}, step_count{20000}}) {
         const auto reference =
             kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, 99);
@@ -331,43 +335,6 @@ TEST(Kernel, GoldenLaneContractRegression) {
     EXPECT_EQ(counts[3], 579u) << kernel_isa_name(isa);
     EXPECT_EQ(counts[4], 206u) << kernel_isa_name(isa);
   }
-}
-
-TEST(Kernel, TuningIsExecutionOnly) {
-  // Every combination of the memory-latency tuning knobs (prefetch,
-  // interleave) must be bit-identical on every backend -- they reorder
-  // loads and stores, never draws.  Shapes cover the interleaved two-round
-  // path (balls >> lanes), its odd-tail handoff to the single-round loop,
-  // remainder lanes, and multi-block runs.
-  const kernel_tuning saved = current_kernel_tuning();
-  const bin_count n = 257;
-  const auto snap = make_snapshot(n);
-  std::vector<double> weights(n);
-  for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 5) + 1);
-  const alias_table table(weights);
-  for (const std::size_t lanes : {std::size_t{8}, std::size_t{13}, std::size_t{16}}) {
-    for (const step_count balls : {step_count{40}, step_count{1001}, step_count{30000}}) {
-      set_kernel_tuning(kernel_tuning{.prefetch = true, .interleave = true});
-      const auto reference = kernel_counts(kernel_isa::scalar, lanes, n, snap, balls, 2026);
-      const auto alias_reference =
-          kernel_alias_counts(kernel_isa::scalar, lanes, n, snap, table, balls, 2026);
-      for (const bool prefetch : {false, true}) {
-        for (const bool interleave : {false, true}) {
-          set_kernel_tuning(kernel_tuning{.prefetch = prefetch, .interleave = interleave});
-          for (const kernel_isa isa : supported_backends()) {
-            EXPECT_EQ(kernel_counts(isa, lanes, n, snap, balls, 2026), reference)
-                << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls
-                << " prefetch=" << prefetch << " interleave=" << interleave;
-            EXPECT_EQ(kernel_alias_counts(isa, lanes, n, snap, table, balls, 2026),
-                      alias_reference)
-                << kernel_isa_name(isa) << " lanes=" << lanes << " balls=" << balls
-                << " prefetch=" << prefetch << " interleave=" << interleave;
-          }
-        }
-      }
-    }
-  }
-  set_kernel_tuning(saved);
 }
 
 // ---------------------------------------------------------------------------
