@@ -65,6 +65,18 @@ bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx
   return true;
 }
 
+void compact_snapshot::size_for(std::size_t n) {
+  n_ = n;
+  off_.resize(n_ + tail_padding);
+  if (hugepages_enabled() && off_.data() != advised_) {
+    // Sized once per frozen window; only re-advise when the buffer
+    // actually moved (first use or a growth realloc).
+    advise_hugepages(off_.data(), off_.size());
+    advised_ = off_.data();
+  }
+  std::fill_n(off_.data() + n_, tail_padding, std::uint8_t{0});
+}
+
 bool compact_snapshot::assign(const std::vector<load_t>& loads) {
   NB_ASSERT(!loads.empty());
   load_t mn = loads.front();
@@ -77,21 +89,37 @@ bool compact_snapshot::assign(const std::vector<load_t>& loads) {
   ok_ = (mx - mn) <= 255;
   if (!ok_) return false;
   span_ = static_cast<std::uint8_t>(mx - mn);
-  n_ = loads.size();
-  off_.resize(n_ + tail_padding);
-  if (hugepages_enabled() && off_.data() != advised_) {
-    // assign() runs once per frozen window; only re-advise when the
-    // buffer actually moved (first use or a growth realloc).
-    advise_hugepages(off_.data(), off_.size());
-    advised_ = off_.data();
-  }
+  size_for(loads.size());
   // Through locals: a byte store may alias any member (n_ included),
   // which would keep the loop from vectorizing.
   const load_t* x = loads.data();
   std::uint8_t* off = off_.data();
   const std::size_t n = n_;
   for (std::size_t i = 0; i < n; ++i) off[i] = static_cast<std::uint8_t>(x[i] - mn);
-  std::fill_n(off + n, tail_padding, std::uint8_t{0});
+  return true;
+}
+
+std::uint8_t* compact_snapshot::rewrite_begin(std::size_t n) {
+  NB_ASSERT(n >= 1);
+  size_for(n);
+  return off_.data();
+}
+
+bool compact_snapshot::rewrite_end(load_t mn, load_t mx) {
+  NB_ASSERT(mn <= mx);
+  // The pass wrote (v[i] - base_) mod 256.  Subtracting (mn - base_) mod
+  // 256 leaves (v[i] - mn) mod 256, which is the exact offset whenever the
+  // span fits in a byte -- whichever way the base moved.
+  const auto shift = static_cast<std::uint8_t>(mn - base_);
+  base_ = mn;
+  ok_ = (mx - mn) <= 255;
+  if (!ok_) return false;
+  span_ = static_cast<std::uint8_t>(mx - mn);
+  if (shift != 0) {
+    std::uint8_t* off = off_.data();
+    const std::size_t n = n_;
+    for (std::size_t i = 0; i < n; ++i) off[i] = static_cast<std::uint8_t>(off[i] - shift);
+  }
   return true;
 }
 
@@ -127,22 +155,157 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
   sum_rows(out, 0, n_);
 }
 
-template <typename Next>
-void load_state::rewrite_loads(const Next& next) {
-  load_t* x = loads_.data();
+// ---------------------------------------------------------------------------
+// The window commits' pass over bins.  One portable loop body, instantiated
+// under per-function target attributes (like the kernel's AVX2 / AVX-512
+// backends) so the compiler vectorizes it at each width; the rest of the
+// build stays at the portable baseline, and other hosts run the portable
+// instantiation.  Every instantiation computes the same integers, so the
+// target is execution only.
+
+namespace {
+
+/// How a pass's count row moves the loads.
+enum class pass_kind {
+  add,      ///< loads[i] += counts[i] * weight
+  release,  ///< loads[i] -= counts[i] * weight
+  blend,    ///< add, plus the caller row's blend and bytes, counts zeroed
+};
+
+struct pass_args {
+  load_t* loads = nullptr;
+  std::size_t n = 0;
+  const std::uint32_t* counts = nullptr;  ///< add, release
+  std::uint32_t* consumed = nullptr;      ///< blend: the counts, zeroed by the pass
+  load_t weight = 1;
+  load_t* row = nullptr;        ///< blend
+  std::uint8_t* off = nullptr;  ///< blend: the row's bytes, written against off_base
+  load_t off_base = 0;
+};
+
+/// Exact bounds of the updated loads and (blend) of the blended row.
+struct pass_bounds {
+  load_t mn;
+  load_t mx;
+  load_t row_mn;
+  load_t row_mx;
+};
+
+/// Sum and largest entry of a count row (the validation scan).
+struct count_scan {
+  step_count total = 0;
+  std::uint32_t peak = 0;
+};
+
+template <pass_kind K>
+[[gnu::always_inline]] inline pass_bounds pass_body(const pass_args& a) {
+  load_t* __restrict x = a.loads;
+  const std::size_t n = a.n;
+  const load_t w = a.weight;
   load_t mn = std::numeric_limits<load_t>::max();
   load_t mx = 0;
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    const load_t updated = next(x[i], i);
-    x[i] = updated;
-    mn = std::min(mn, updated);
-    mx = std::max(mx, updated);
+  load_t rmn = std::numeric_limits<load_t>::max();
+  load_t rmx = 0;
+  if constexpr (K == pass_kind::blend) {
+    std::uint32_t* __restrict c = a.consumed;
+    load_t* __restrict row = a.row;
+    std::uint8_t* __restrict off = a.off;
+    const load_t base = a.off_base;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t count = c[i];
+      const load_t v = x[i] + static_cast<load_t>(count) * w;
+      x[i] = v;
+      mn = std::min(mn, v);
+      mx = std::max(mx, v);
+      // Branch-free: at b = n about 37% of the bins get no ball, so a
+      // branch on the count would mispredict often.  Bins the window did
+      // not touch keep their entry: after departures it may differ from
+      // their load, so this is a select, not a copy.  Spelled as a mask
+      // blend because GCC turns the equivalent ?: back into a branch.
+      const load_t take = static_cast<load_t>(count == 0) - 1;  // ~0 if touched
+      const load_t r = (v & take) | (row[i] & ~take);
+      row[i] = r;
+      off[i] = static_cast<std::uint8_t>(r - base);
+      rmn = std::min(rmn, r);
+      rmx = std::max(rmx, r);
+      c[i] = 0;
+    }
+  } else {
+    const std::uint32_t* __restrict c = a.counts;
+    for (std::size_t i = 0; i < n; ++i) {
+      const load_t d = static_cast<load_t>(c[i]) * w;
+      const load_t v = K == pass_kind::release ? x[i] - d : x[i] + d;
+      x[i] = v;
+      mn = std::min(mn, v);
+      mx = std::max(mx, v);
+    }
   }
-  levels_ok_ = levels_.rebuild(loads_, mn, mx);
+  return {mn, mx, rmn, rmx};
 }
 
-void load_state::apply_increments(const std::vector<std::uint32_t>& add,
-                                  weight_t weight_per_ball) {
+[[gnu::always_inline]] inline count_scan scan_body(const std::uint32_t* __restrict c,
+                                                   std::size_t n) {
+  step_count total = 0;
+  std::uint32_t peak = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += c[i];
+    peak = std::max(peak, c[i]);
+  }
+  return {total, peak};
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define NB_TGT_AVX2 __attribute__((target("avx2")))
+// The same target strings the kernel's AVX2 / AVX-512 backends build with.
+#define NB_TGT_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
+
+template <pass_kind K>
+NB_TGT_AVX2 pass_bounds pass_avx2(const pass_args& a) {
+  return pass_body<K>(a);
+}
+template <pass_kind K>
+NB_TGT_AVX512 pass_bounds pass_avx512(const pass_args& a) {
+  return pass_body<K>(a);
+}
+NB_TGT_AVX2 count_scan scan_avx2(const std::uint32_t* c, std::size_t n) {
+  return scan_body(c, n);
+}
+NB_TGT_AVX512 count_scan scan_avx512(const std::uint32_t* c, std::size_t n) {
+  return scan_body(c, n);
+}
+#endif
+
+template <pass_kind K>
+pass_bounds rewrite_loads(kernel_isa isa, const pass_args& a) {
+  switch (resolve_kernel_isa(isa)) {
+#if defined(__x86_64__) || defined(__i386__)
+    case kernel_isa::avx512:
+      return pass_avx512<K>(a);
+    case kernel_isa::avx2:
+      return pass_avx2<K>(a);
+#endif
+    default:
+      return pass_body<K>(a);
+  }
+}
+
+count_scan scan_counts(kernel_isa isa, const std::vector<std::uint32_t>& c) {
+  switch (resolve_kernel_isa(isa)) {
+#if defined(__x86_64__) || defined(__i386__)
+    case kernel_isa::avx512:
+      return scan_avx512(c.data(), c.size());
+    case kernel_isa::avx2:
+      return scan_avx2(c.data(), c.size());
+#endif
+    default:
+      return scan_body(c.data(), c.size());
+  }
+}
+
+}  // namespace
+
+step_count load_state::check_increments(const std::vector<std::uint32_t>& add,
+                                        weight_t weight_per_ball, kernel_isa isa) const {
   NB_ASSERT(!bulk_);
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
@@ -151,12 +314,7 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
   // safety, like allocate(i, w)): a throw must not leave a prefix of bins
   // inflated while balls_/levels_ still reflect the old state.  One pass
   // over `add` alone yields the ball total and the largest per-bin count.
-  step_count total = 0;
-  std::uint32_t peak = 0;
-  for (const std::uint32_t a : add) {
-    total += a;
-    peak = std::max(peak, a);
-  }
+  const auto [total, peak] = scan_counts(isa, add);
   NB_REQUIRE(total <= max_run_balls - balls_,
              "window would exceed the run's ball ceiling (max_run_balls)");
   // Same int64-overflow audit as the weighted allocate(), phrased as a
@@ -177,21 +335,60 @@ void load_state::apply_increments(const std::vector<std::uint32_t>& add,
                  "window would overflow bin " + std::to_string(i) + "'s 32-bit load");
     }
   }
-  const auto w = static_cast<load_t>(weight_per_ball);
-  rewrite_loads([&](load_t x, std::size_t i) { return x + static_cast<load_t>(add[i]) * w; });
+  return total;
+}
+
+void load_state::apply_increments(const std::vector<std::uint32_t>& add,
+                                  weight_t weight_per_ball, kernel_isa isa) {
+  const step_count total = check_increments(add, weight_per_ball, isa);
+  pass_args a;
+  a.loads = loads_.data();
+  a.n = loads_.size();
+  a.counts = add.data();
+  a.weight = static_cast<load_t>(weight_per_ball);
+  const pass_bounds b = rewrite_loads<pass_kind::add>(isa, a);
+  levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
   balls_ += total;
   extra_weight_ += total * (weight_per_ball - 1);
-  if (lease_on_ && total > 0) {
-    // A merged window has no per-ball arrival order; record residents in
-    // bin-index order.  That order is a pure function of the merged
-    // counts, so it is identical for every thread count / ISA backend of
-    // the engine that produced the window (the windowed engines' own
-    // determinism contract) -- it just differs from the serial per-ball
-    // order, exactly as the window's sampling already does.
-    for (std::size_t i = 0; i < add.size(); ++i) {
-      for (std::uint32_t k = 0; k < add[i]; ++k) {
-        lease_push(static_cast<bin_index>(i), weight_per_ball);
-      }
+  lease_push_counts(add, weight_per_ball);
+}
+
+load_state::row_bounds load_state::commit_window(std::vector<std::uint32_t>& add,
+                                                 weight_t weight_per_ball, step_count balls,
+                                                 std::vector<load_t>& row, std::uint8_t* off,
+                                                 load_t off_base, kernel_isa isa) {
+  NB_REQUIRE(row.size() == loads_.size(), "blended row must have one entry per bin");
+  const step_count total = check_increments(add, weight_per_ball, isa);
+  NB_REQUIRE(total == balls, "window counts do not sum to the window's ball count");
+  // Before the pass, which zeroes the counts.
+  lease_push_counts(add, weight_per_ball);
+  pass_args a;
+  a.loads = loads_.data();
+  a.n = loads_.size();
+  a.consumed = add.data();
+  a.weight = static_cast<load_t>(weight_per_ball);
+  a.row = row.data();
+  a.off = off;
+  a.off_base = off_base;
+  const pass_bounds b = rewrite_loads<pass_kind::blend>(isa, a);
+  levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
+  balls_ += total;
+  extra_weight_ += total * (weight_per_ball - 1);
+  return {b.row_mn, b.row_mx};
+}
+
+void load_state::lease_push_counts(const std::vector<std::uint32_t>& add,
+                                   weight_t weight_per_ball) {
+  if (!lease_on_) return;
+  // A merged window has no per-ball arrival order; record residents in
+  // bin-index order.  That order is a pure function of the merged counts,
+  // so it is identical for every thread count / ISA backend of the engine
+  // that produced the window (the windowed engines' own determinism
+  // contract) -- it just differs from the serial per-ball order, exactly
+  // as the window's sampling already does.
+  for (std::size_t i = 0; i < add.size(); ++i) {
+    for (std::uint32_t k = 0; k < add[i]; ++k) {
+      lease_push(static_cast<bin_index>(i), weight_per_ball);
     }
   }
 }
@@ -226,13 +423,21 @@ void load_state::apply_increments(const std::vector<std::int64_t>& delta,
              "signed window would leave the extra-weight accumulator negative");
   NB_REQUIRE(net <= max_total_weight - total_weight(),
              "window would overflow the total-weight accumulator (max_total_weight)");
-  rewrite_loads([&](load_t x, std::size_t i) { return x + static_cast<load_t>(delta[i]); });
+  load_t* x = loads_.data();
+  load_t mn = std::numeric_limits<load_t>::max();
+  load_t mx = 0;
+  for (std::size_t i = 0; i < loads_.size(); ++i) {
+    x[i] += static_cast<load_t>(delta[i]);
+    mn = std::min(mn, x[i]);
+    mx = std::max(mx, x[i]);
+  }
+  levels_ok_ = levels_.rebuild(loads_, mn, mx);
   balls_ = balls_after;
   extra_weight_ = extra_after;
 }
 
 void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
-                                weight_t weight_per_ball, step_count k) {
+                                weight_t weight_per_ball, step_count k, kernel_isa isa) {
   NB_ASSERT(!bulk_);
   NB_REQUIRE(rel.size() == loads_.size(), "release vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
@@ -257,8 +462,13 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  const auto w = static_cast<load_t>(weight_per_ball);
-  rewrite_loads([&](load_t x, std::size_t i) { return x - static_cast<load_t>(rel[i]) * w; });
+  pass_args a;
+  a.loads = loads_.data();
+  a.n = loads_.size();
+  a.counts = rel.data();
+  a.weight = static_cast<load_t>(weight_per_ball);
+  const pass_bounds b = rewrite_loads<pass_kind::release>(isa, a);
+  levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
   balls_ -= k;
   extra_weight_ -= k * (weight_per_ball - 1);
 }

@@ -35,6 +35,7 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
+#include "core/kernel/kernel.hpp"
 
 namespace nb {
 
@@ -240,8 +241,20 @@ class compact_snapshot {
 
   /// Rebuilds from `loads`.  O(n).  Returns false (and marks the snapshot
   /// unusable) when the span exceeds 255; callers must then fall back to
-  /// the full-width loads.
+  /// the full-width loads.  The reference for rewrite_begin/rewrite_end.
   bool assign(const std::vector<load_t>& loads);
+
+  /// In-pass rebuild, for a window commit that already walks the values:
+  /// rewrite_begin(n) sizes the buffer for n offsets and returns it; the
+  /// caller writes byte i as uint8(v[i] - base()) for EVERY bin (base()
+  /// being whatever the snapshot held before, so bytes may wrap) and hands
+  /// v's exact bounds [mn, mx] to rewrite_end.  That leaves the snapshot
+  /// exactly as assign(v) would: the bytes are already right when the
+  /// base did not move, and one byte pass re-offsets them when it did
+  /// (mod-256 arithmetic, so in either direction).  rewrite_end returns
+  /// ok().
+  std::uint8_t* rewrite_begin(std::size_t n);
+  bool rewrite_end(load_t mn, load_t mx);
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] load_t base() const noexcept { return base_; }
@@ -253,6 +266,9 @@ class compact_snapshot {
   [[nodiscard]] std::uint8_t max_off() const noexcept { return span_; }
 
  private:
+  /// Sizes off_ for n offsets plus the zeroed tail padding.
+  void size_for(std::size_t n);
+
   std::vector<std::uint8_t> off_;  ///< n_ offsets + tail_padding zero bytes
   /// Buffer the last huge-page advice was issued for: assign() re-advises
   /// only when the storage actually moved, not once per window.
@@ -457,7 +473,13 @@ class load_state {
   /// weight_per_ball covers the deterministic weightings the frozen-window
   /// engines support (unit and fixed); RNG-driven weights never reach this
   /// path (the engines fall back to the serial fused loop).
-  void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball = 1);
+  ///
+  /// Every merged commit (the unsigned apply_increments, apply_releases,
+  /// commit_window) updates the loads in one pass over bins compiled for
+  /// the scalar, AVX2 and AVX-512 targets; `isa` picks the target and is
+  /// execution only, like the kernel's: the engines pass their own.
+  void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball,
+                        kernel_isa isa);
 
   /// Signed generalization for churn windows: loads_[i] += delta[i]
   /// (weight units, may be negative) and balls_ += ball_delta, validated
@@ -478,7 +500,33 @@ class load_state {
   /// (a merged block cannot say *which* resident balls departed; the lease
   /// channel expires per-ball through release_oldest()).
   void apply_releases(const std::vector<std::uint32_t>& rel, weight_t weight_per_ball,
-                      step_count k);
+                      step_count k, kernel_isa isa);
+
+  /// The checks apply_increments(add, weight_per_ball, isa) runs before
+  /// any write (ball, total-weight and per-bin 32-bit ceilings), without
+  /// writing anything; returns sum(add).  For a caller that must update
+  /// its own state before a commit_window and only if the window will be
+  /// accepted.
+  step_count check_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball,
+                              kernel_isa isa) const;
+
+  /// Exact bounds of a load row.
+  struct row_bounds {
+    load_t mn;
+    load_t mx;
+  };
+
+  /// apply_increments(add, weight_per_ball, isa) for a window of `balls`
+  /// balls (sum(add) must equal it) whose one pass also blends a caller
+  /// row and zeroes `add` for the engine's next window: row[i] becomes bin
+  /// i's new load when the window put a ball into it (add[i] != 0) and
+  /// keeps its value otherwise, and off[i] = uint8(row[i] - off_base)
+  /// (mod 256, see compact_snapshot::rewrite_begin).  Returns the blended
+  /// row's bounds.  Same validation before any write: a refused window
+  /// leaves the state, `row`, `off` and `add` unchanged.
+  row_bounds commit_window(std::vector<std::uint32_t>& add, weight_t weight_per_ball,
+                           step_count balls, std::vector<load_t>& row, std::uint8_t* off,
+                           load_t off_base, kernel_isa isa);
 
   /// ------------------------------------------------------------------
   /// FIFO lease ring (the "lease" departure channel): while tracking is
@@ -596,12 +644,9 @@ class load_state {
     levels_ok_ = levels_.rebuild(loads_);
   }
 
-  /// The window commits' single update pass: loads_[i] = next(loads_[i],
-  /// i) for every bin (already validated to stay in [0, INT32_MAX]), with
-  /// the new bounds folded into the same pass and handed to the level
-  /// index's rebuild.
-  template <typename Next>
-  void rewrite_loads(const Next& next);
+  /// Records a merged window's residents in the lease ring (no-op while
+  /// tracking is off).
+  void lease_push_counts(const std::vector<std::uint32_t>& add, weight_t weight_per_ball);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

@@ -9,7 +9,11 @@
 // Implementation: a `stale` snapshot vector plus the list of bins touched
 // in the current batch; at a batch boundary only the touched bins are
 // refreshed, so the total maintenance cost is O(m) for the whole run
-// regardless of b (a naive per-batch copy would be O(m/b * n)).
+// regardless of b (a naive per-batch copy would be O(m/b * n)).  The
+// window engines read the stale row through its compact 8-bit snapshot,
+// which the process owns: a boundary window commit rewrites it in the same
+// pass that applies the window, and every other write to the stale row
+// marks it for a rebuild on the next request.
 #pragma once
 
 #include <string>
@@ -52,6 +56,7 @@ class b_batch {
     state_.reset();
     std::fill(stale_.begin(), stale_.end(), 0);
     touched_.clear();
+    snapshot_fresh_ = false;
   }
 
   [[nodiscard]] std::string name() const {
@@ -66,8 +71,8 @@ class b_batch {
   /// One departure event through the model's channel (see depart_ball).
   void depart(rng_t& rng) { depart_ball(state_, model_, rng); }
   /// Applies one engine-merged departure block (see apply_departure_block).
-  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k) {
-    apply_departure_block(state_, model_, rel, k);
+  void commit_departures(const std::vector<std::uint32_t>& rel, step_count k, kernel_isa isa) {
+    apply_departure_block(state_, model_, rel, k, isa);
   }
 
   /// The load of bin i as reported during the current batch (for tests).
@@ -95,6 +100,7 @@ class b_batch {
     }
     stale_ = std::move(stale);
     touched_ = std::move(touched);
+    snapshot_fresh_ = false;
   }
 
   // --- window-parallel contract (see process.hpp) ------------------------
@@ -107,8 +113,16 @@ class b_batch {
     return b_ - state_.balls() % b_;
   }
 
-  /// The frozen loads the current batch's decisions read.
-  [[nodiscard]] const std::vector<load_t>& window_snapshot() const noexcept { return stale_; }
+  /// The compact snapshot of the frozen loads the current batch's
+  /// decisions read.  Kept current by boundary window commits; rebuilt
+  /// here (compact_snapshot::assign) after any other write to them.
+  [[nodiscard]] const compact_snapshot& window_snapshot() {
+    if (!snapshot_fresh_) {
+      snapshot_.assign(stale_);
+      snapshot_fresh_ = true;
+    }
+    return snapshot_;
+  }
 
   /// b-Batch's snapshot_decide IS the canonical two-sample min rule, so
   /// its windows may run through the lane-interleaved SIMD kernel (the
@@ -131,33 +145,39 @@ class b_batch {
   /// Applies a merged window delta (inc[i] balls into bin i, all decided
   /// against the current snapshot) and refreshes exactly like the serial
   /// path: at a batch boundary the touched bins are re-read from the true
-  /// loads; mid-batch (a partial window) they are only recorded as touched
-  /// so a later boundary refresh covers them.  Each counted ball deposits
-  /// the model's (deterministic) weight; the engines never route random
-  /// weightings here.
-  void commit_window(const std::vector<std::uint32_t>& inc, step_count balls) {
+  /// loads, and the commit's one pass over bins (load_state::commit_window,
+  /// dispatched to `isa`) blends the window's bins into the stale row and
+  /// rewrites the compact snapshot; mid-batch (a partial window) they are
+  /// only recorded as touched so a later boundary refresh covers them, and
+  /// the snapshot stays as it is.  Each counted ball deposits the model's
+  /// (deterministic) weight; the engines never route random weightings
+  /// here.  Leaves `inc` zeroed; a refused window (contract_error) leaves
+  /// it and the process unchanged.
+  void commit_window(std::vector<std::uint32_t>& inc, step_count balls, kernel_isa isa) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
-    state_.apply_increments(inc, model_.weighting.fixed_weight());
-    const bin_count n = state_.n();
-    if (state_.balls() % b_ == 0) {
-      refresh_snapshot();
-      // Branch-free: at b = n about 37% of the bins get no ball, so a
-      // branch on inc[i] != 0 would mispredict often.  Bins the window
-      // did not touch keep their snapshot entry: after departures it may
-      // differ from their load, so this is a select, not a copy.  Spelled
-      // as a mask blend because GCC turns the equivalent ?: back into a
-      // branch.
-      const load_t* loads = state_.loads().data();
-      load_t* stale = stale_.data();
+    const weight_t w = model_.weighting.fixed_weight();
+    if (balls < snapshot_window()) {
+      state_.apply_increments(inc, w, isa);
+      const bin_count n = state_.n();
       for (bin_index i = 0; i < n; ++i) {
-        const load_t take = static_cast<load_t>(inc[i] == 0) - 1;  // ~0 if touched
-        stale[i] = (loads[i] & take) | (stale[i] & ~take);
+        if (inc[i] != 0) {
+          touched_.push_back(i);
+          inc[i] = 0;
+        }
       }
-    } else {
-      for (bin_index i = 0; i < n; ++i) {
-        if (inc[i] != 0) touched_.push_back(i);
-      }
+      return;
     }
+    // Bins touched earlier in the batch take their load before this
+    // window; validated first, so a refused window leaves stale_ as it was.
+    if (!touched_.empty()) {
+      state_.check_increments(inc, w, isa);
+      refresh_snapshot();
+    }
+    const load_t base = snapshot_.base();
+    std::uint8_t* off = snapshot_.rewrite_begin(stale_.size());
+    const auto [mn, mx] = state_.commit_window(inc, w, balls, stale_, off, base, isa);
+    snapshot_.rewrite_end(mn, mx);
+    snapshot_fresh_ = true;
   }
 
  private:
@@ -181,6 +201,7 @@ class b_batch {
   void refresh_snapshot() {
     for (const bin_index i : touched_) stale_[i] = state_.load(i);
     touched_.clear();
+    snapshot_fresh_ = false;
   }
 
   load_state state_;
@@ -188,6 +209,10 @@ class b_batch {
   step_count b_;
   std::vector<load_t> stale_;
   std::vector<bin_index> touched_;
+  /// Derived from stale_, never serialized: its compact form, valid while
+  /// snapshot_fresh_.
+  compact_snapshot snapshot_;
+  bool snapshot_fresh_ = false;
 };
 
 static_assert(allocation_process<b_batch>);

@@ -268,8 +268,10 @@ inline void depart_many(P& process, rng_t& rng, step_count count) {
 /// random apply a departure kernel's per-bin counts in one validated
 /// pass, retiring the drain weight (resp. unit quanta) per departing
 /// ball with release()'s contract-error vocabulary on any overdraw.
+/// `isa` is the engine's execution-only target for that pass.
 inline void apply_departure_block(load_state& state, const alloc_model& model,
-                                  const std::vector<std::uint32_t>& rel, step_count k) {
+                                  const std::vector<std::uint32_t>& rel, step_count k,
+                                  kernel_isa isa) {
   const departure_model& departures = model.departures;
   NB_REQUIRE(!departures.is_none(),
              "commit_departures needs a departure channel, but the model's "
@@ -281,10 +283,10 @@ inline void apply_departure_block(load_state& state, const alloc_model& model,
       for (step_count t = 0; t < k; ++t) state.release_oldest();
       return;
     case departure_model::kind::drain:
-      state.apply_releases(rel, drain_weight(model.weighting), k);
+      state.apply_releases(rel, drain_weight(model.weighting), k, isa);
       return;
     case departure_model::kind::random:
-      state.apply_releases(rel, 1, k);
+      state.apply_releases(rel, 1, k, isa);
       return;
   }
 }
@@ -295,8 +297,8 @@ inline void apply_departure_block(load_state& state, const alloc_model& model,
 /// implements commit_departures via apply_departure_block.
 template <typename P>
 concept batch_departable = departable_process<P> && modeled_process<P> &&
-    requires(P p, const std::vector<std::uint32_t>& rel, step_count k) {
-      { p.commit_departures(rel, k) } -> std::same_as<void>;
+    requires(P p, const std::vector<std::uint32_t>& rel, step_count k, kernel_isa isa) {
+      { p.commit_departures(rel, k, isa) } -> std::same_as<void>;
     };
 
 /// An arrival/departure mix for advance(): `arrivals` balls arrive and
@@ -382,20 +384,28 @@ concept window_probed = requires(const P p) {
 /// Full intra-run window-parallel contract (two-sample processes):
 ///   * snapshot_window(): how many upcoming balls decide against frozen
 ///     state (0 = none; the engine falls back to the serial fused loop),
-///   * window_snapshot(): the frozen loads those decisions read,
+///   * window_snapshot(): the compact 8-bit snapshot of the frozen loads
+///     those decisions read.  The process owns it and keeps it equal to
+///     compact_snapshot::assign of those loads; !ok() (span over 255)
+///     sends the window to the serial loop.  It must stay unchanged until
+///     the window's commit_window, so the engine's shard tasks may read
+///     it without a copy,
 ///   * snapshot_decide(snap, i1, i2, rng): the decision rule over the
 ///     compact 8-bit snapshot -- must be a pure function of (snap[i1],
 ///     snap[i2], rng draws),
-///   * commit_window(inc, balls): apply the merged per-bin increments and
-///     refresh whatever the process keeps stale (inc[i] balls into bin i,
-///     sum(inc) == balls == the window length the engine ran).
+///   * commit_window(inc, balls, isa): apply the merged per-bin increments
+///     and refresh whatever the process keeps stale, the snapshot
+///     included (inc[i] balls into bin i, sum(inc) == balls == the window
+///     length the engine ran); `isa` is the engine's execution-only
+///     target for the commit pass.  Leaves `inc` zeroed, so the engine
+///     reuses it for the next window without a clearing pass.
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
-    requires(P p, const P cp, rng_t& g, const std::uint8_t* snap, bin_index i,
-             const std::vector<std::uint32_t>& inc, step_count k) {
-      { cp.window_snapshot() } -> std::convertible_to<const std::vector<load_t>&>;
+    requires(P p, rng_t& g, const std::uint8_t* snap, bin_index i,
+             std::vector<std::uint32_t>& inc, step_count k, kernel_isa isa) {
+      { p.window_snapshot() } -> std::convertible_to<const compact_snapshot&>;
       { P::snapshot_decide(snap, i, i, g) } -> std::convertible_to<bin_index>;
-      { p.commit_window(inc, k) } -> std::same_as<void>;
+      { p.commit_window(inc, k, isa) } -> std::same_as<void>;
     };
 
 /// Window-parallel process whose snapshot_decide is the canonical
@@ -418,15 +428,12 @@ namespace engine_detail {
 /// (below `min_window` or shorter than n/4 balls, where the per-window
 /// O(n) work would not amortize) and span-saturated snapshots to the
 /// serial fused loop on the master stream, and hands every remaining
-/// window to `fast(k, snapshot)` with the snapshot freshly assigned.
-/// `acquire()` hands out the compact_snapshot to assign into -- the shard
-/// engine alternates two buffers so assigning window k+1 never overwrites
-/// the buffer window k's shards may still be reading, the kernel engine
-/// reuses one.  Keeping the routing in one place keeps both engines'
-/// window selection identical.
-template <window_probed P, typename Acquire, typename Fast>
+/// window to `fast(k, snapshot)` with the process's window snapshot.
+/// Keeping the routing in one place keeps both engines' window selection
+/// identical.
+template <window_parallel P, typename Fast>
 void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
-                  step_count min_window, const Acquire& acquire, const Fast& fast) {
+                  step_count min_window, const Fast& fast) {
   while (count > 0) {
     const step_count window = process.snapshot_window();
     if (window <= 0) {  // no frozen window: serial for the whole rest
@@ -439,8 +446,8 @@ void walk_windows(P& process, rng_t& rng, step_count count, step_count cap,
     if (k < min_window || k * 4 < n) {
       nb::step_many(process, rng, k);
     } else {
-      compact_snapshot& snapshot = acquire();
-      if (!snapshot.assign(process.window_snapshot())) {
+      const compact_snapshot& snapshot = process.window_snapshot();
+      if (!snapshot.ok()) {
         nb::step_many(process, rng, k);
       } else {
         fast(k, snapshot);
@@ -484,11 +491,12 @@ bool serial_for_random_weights(P& process, rng_t& rng, step_count count, const c
 /// amortize), or one for which `block(process, k)` reports span-saturated
 /// live loads by returning false, falls back to the serial per-event loop
 /// with a one-time diagnostic.  `block` is generic so it is only
-/// instantiated for batch-departable processes.
+/// instantiated for batch-departable processes; `isa` is the engine's
+/// target for the commits.
 template <typename P, typename Block>
   requires departable_process<P>
 void route_departures(P& process, rng_t& rng, step_count count, step_count cap,
-                      step_count min_window, const Block& block) {
+                      step_count min_window, kernel_isa isa, const Block& block) {
   NB_ASSERT(count >= 0);
   if (count == 0) return;
   if constexpr (!batch_departable<P>) {
@@ -504,7 +512,7 @@ void route_departures(P& process, rng_t& rng, step_count count, step_count cap,
       return;
     }
     if (departures.is_lease()) {
-      process.commit_departures({}, count);
+      process.commit_departures({}, count, isa);
       return;
     }
     const auto n = static_cast<step_count>(process.state().n());
@@ -558,7 +566,7 @@ struct shard_options {
 };
 
 /// The intra-run shard-parallel batch engine.  Owns the worker pool and
-/// the per-window scratch (compact snapshot, shard delta rows), so one
+/// the per-window scratch (shard delta rows, departure snapshot), so one
 /// engine instance amortizes both across all windows of a run -- create it
 /// once per run (or reuse across runs of the same configuration).
 class shard_engine {
@@ -615,15 +623,6 @@ class shard_engine {
           static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
       engine_detail::walk_windows(
           process, rng, count, cap, opt_.min_window,
-          // Double-buffered snapshot: alternate buffers so assigning the
-          // next window's snapshot on the master thread never races the
-          // pool work still in flight from the previous window (today the
-          // deferred row clears; the buffer swap is what makes any such
-          // overlap safe by construction).
-          [&]() -> compact_snapshot& {
-            snapshot_index_ ^= 1;
-            return snapshots_[snapshot_index_];
-          },
           [&](step_count k, const compact_snapshot& snapshot) {
             run_window(process, rng, k, snapshot);
           });
@@ -657,7 +656,7 @@ class shard_engine {
     // blocks deterministically (depends only on the shard count).
     const step_count cap = static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
     engine_detail::route_departures(
-        process, rng, count, cap, opt_.min_window,
+        process, rng, count, cap, opt_.min_window, isa_,
         [&](auto& batched, step_count k) { return depart_block(batched, rng, k); });
   }
 
@@ -669,11 +668,9 @@ class shard_engine {
   /// live loads cannot compact (caller falls back to the serial loop).
   template <batch_departable P>
   bool depart_block(P& process, rng_t& rng, step_count k) {
-    // Same double-buffer rotation as arrival windows: the previous
-    // block's deferred row clears may still be in flight on the pool.
-    snapshot_index_ ^= 1;
-    compact_snapshot& snapshot = snapshots_[snapshot_index_];
-    if (!snapshot.assign(process.state().loads())) return false;
+    // The shard tasks reading it are joined before this returns, and the
+    // deferred row clears still in flight touch only deltas_.
+    if (!snapshot_.assign(process.state().loads())) return false;
     const bin_count n = process.state().n();
     const std::size_t shards = opt_.shards;
     drain_deferred_clears();
@@ -682,9 +679,9 @@ class shard_engine {
       rows_clean_ = true;
     }
     const std::uint64_t token = rng.next();
-    const std::uint8_t* snap = snapshot.data();
-    const load_t base = snapshot.base();
-    const std::uint8_t span = snapshot.max_off();
+    const std::uint8_t* snap = snapshot_.data();
+    const load_t base = snapshot_.base();
+    const std::uint8_t span = snapshot_.max_off();
     const bool drain =
         process.model().departures.departure_kind() == departure_model::kind::drain;
     const depart_channel channel = drain ? depart_channel::drain : depart_channel::random;
@@ -778,7 +775,7 @@ class shard_engine {
       pool_.submit([this, s] { deltas_.clear_row(s); });
     }
     clears_pending_ = true;
-    process.commit_departures(merged_, k);
+    process.commit_departures(merged_, k, isa_);
     return true;
   }
 
@@ -858,12 +855,16 @@ class shard_engine {
       pool_.submit([this, s] { deltas_.clear_row(s); });
     }
     clears_pending_ = true;
-    process.commit_window(merged_, k);
+    // The commit hands merged_ back zeroed, which this engine does not
+    // need (sum_rows overwrites it); the stores ride in the commit's own
+    // pass, and at n = 10^6 their cost (under 0.2 ms of a ~2 ms commit)
+    // did not separate from run-to-run noise.
+    process.commit_window(merged_, k, isa_);
   }
 
   /// Joins the deferred row clears of the previous window (no-op in the
   /// common case where the pool already drained them while the master
-  /// thread was busy committing / assigning the next snapshot).
+  /// thread was busy committing).
   void drain_deferred_clears() {
     if (!clears_pending_) return;
     pool_.wait_idle();
@@ -915,10 +916,9 @@ class shard_engine {
   shard_options opt_;
   kernel_isa isa_;
   thread_pool pool_;
-  /// Two snapshot buffers, alternated per parallel window (see the
-  /// acquire lambda in step_many).
-  compact_snapshot snapshots_[2];
-  std::size_t snapshot_index_ = 0;
+  /// Departure blocks' snapshot of the live loads (arrival windows read
+  /// the process's own window snapshot).
+  compact_snapshot snapshot_;
   shard_deltas deltas_;
   std::vector<shard_arena> arenas_;
   std::vector<std::uint32_t> merged_;
@@ -983,19 +983,19 @@ class kernel_engine {
         return;
       }
       // No row-width cap needed: whole windows accumulate into uint32
-      // counters and a run is bounded by max_run_balls anyway.  Serial
-      // engine, so a single snapshot buffer suffices (nothing outlives
-      // the window that could race the next assign).
+      // counters and a run is bounded by max_run_balls anyway.
       engine_detail::walk_windows(
           process, rng, count, max_run_balls, opt_.min_window,
-          [&]() -> compact_snapshot& { return snapshot_; },
           [&](step_count k, const compact_snapshot& snapshot) {
             // One master-stream draw per window (same cadence as the
             // shard engine), then the whole window decides in the kernel
             // -- the alias lane path when the model samples non-uniformly.
             const std::uint64_t token = rng.next();
             const bin_count n = process.state().n();
-            inc_.assign(n, 0);
+            // commit_window hands the row back zeroed; only a first
+            // window, a new n or a refused commit needs the clear.
+            if (!inc_clean_ || inc_.size() != n) inc_.assign(n, 0);
+            inc_clean_ = false;
             const alias_table* table = nullptr;
             if constexpr (modeled_process<P>) {
               if (!process.model().sampler.is_uniform()) {
@@ -1008,7 +1008,8 @@ class kernel_engine {
             } else {
               kernel_run(isa_, opt_.lanes, n, snapshot.data(), inc_.data(), k, token);
             }
-            process.commit_window(inc_, k);
+            process.commit_window(inc_, k, isa_);
+            inc_clean_ = true;
           });
     }
   }
@@ -1034,7 +1035,7 @@ class kernel_engine {
     // No row-width cap: the block counts into one uint32 row, and no
     // valid block exceeds max_run_balls resident balls.
     engine_detail::route_departures(
-        process, rng, count, max_run_balls, opt_.min_window,
+        process, rng, count, max_run_balls, opt_.min_window, isa_,
         [&](auto& batched, step_count k) { return depart_block(batched, rng, k); });
   }
 
@@ -1057,14 +1058,18 @@ class kernel_engine {
     kernel_depart(isa_, opt_.lanes, drain ? depart_channel::drain : depart_channel::random, n,
                   snapshot_.data(), snapshot_.base(), snapshot_.max_off(), w, rel_.data(), k,
                   token);
-    process.commit_departures(rel_, k);
+    process.commit_departures(rel_, k, isa_);
     return true;
   }
 
   kernel_options opt_;
   kernel_isa isa_;
+  /// Departure blocks' snapshot of the live loads (arrival windows read
+  /// the process's own window snapshot).
   compact_snapshot snapshot_;
   std::vector<std::uint32_t> inc_;
+  /// inc_ is all zero (the last commit_window returned normally).
+  bool inc_clean_ = false;
   std::vector<std::uint32_t> rel_;
 };
 

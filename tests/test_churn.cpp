@@ -620,7 +620,7 @@ TEST(WeightedDrain, BulkReleaseUnderflowNamesBinAndWeight) {
   state.allocate(1, 9);
   const std::vector<std::uint32_t> rel = {2, 0};
   try {
-    state.apply_releases(rel, 3, 2);  // bin 0 would retire 6 > 5
+    state.apply_releases(rel, 3, 2, kernel_isa::auto_detect);  // bin 0 would retire 6 > 5
     FAIL() << "bulk release past zero must throw";
   } catch (const contract_error& e) {
     const std::string what = e.what();
@@ -639,7 +639,7 @@ TEST(WeightedDrain, BulkReleaseRefusesToBypassTheLeaseRing) {
   state.allocate(0);
   state.allocate(1);
   const std::vector<std::uint32_t> rel = {1, 0};
-  EXPECT_THROW(state.apply_releases(rel, 1, 1), contract_error);
+  EXPECT_THROW(state.apply_releases(rel, 1, 1, kernel_isa::auto_detect), contract_error);
 }
 
 // ---------------------------------------------------------------------------

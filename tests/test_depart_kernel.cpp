@@ -38,21 +38,8 @@ namespace {
 
 using namespace nb;
 
-/// Every ISA the dispatch knows (excluding auto_detect), supported or not.
-const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
-                                               kernel_isa::avx512, kernel_isa::neon};
-  return isas;
-}
-
-/// Backends that can execute on this machine (scalar always can).
-std::vector<kernel_isa> supported_backends() {
-  std::vector<kernel_isa> isas;
-  for (const kernel_isa isa : all_backends()) {
-    if (kernel_isa_supported(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
+using nb::testing::all_isas;
+using nb::testing::supported_isas;
 
 /// The allocation suite's snapshot shape (offsets cycle 0..4, padded for
 /// the vector gathers) -- plenty of ties for the drain tie-break.
@@ -332,7 +319,7 @@ TEST(DepartKernel, RandomSamplerSelectionBoundaries) {
     const auto rejection = rejection_reference(8, n, snap, 0, k, 2024, attempts);
     const auto dense = dense_reference(8, n, snap, 0, k, 2024);
     EXPECT_NE(rejection, dense) << "side " << c << " cannot tell the samplers apart";
-    for (const kernel_isa isa : supported_backends()) {
+    for (const kernel_isa isa : supported_isas()) {
       EXPECT_EQ(depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, k, 2024),
                 sides[c].dense ? dense : rejection)
           << "side " << c << " " << kernel_isa_name(isa);
@@ -401,7 +388,7 @@ TEST(DepartKernel, BackendsBitIdenticalAcrossShapes) {
   // one AVX-512 vector plus remainder lanes (13), whole vectors (8, 16,
   // 64), tiny bins, and event counts that cross the driver's 8192-event
   // block.
-  const auto isas = supported_backends();
+  const auto isas = supported_isas();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
@@ -433,7 +420,7 @@ TEST(DepartKernel, DenseRandomBackendsAndRowsAgree) {
   // backend must match the replay bit for bit, and the shard engine's
   // uint16 row the serial uint32 row.  Shapes span one bitmap word to
   // thousands, with and without the complement branch.
-  const auto isas = supported_backends();
+  const auto isas = supported_isas();
   for (const bin_count n : {7u, 97u, 4096u, 100003u}) {
     const auto snap = make_snapshot(n);  // base 0: acceptance ratio ~1/2
     step_count total = 0;
@@ -467,7 +454,7 @@ TEST(DepartKernel, DenseRandomFullDrainRetiresEveryUnit) {
   const auto snap = make_snapshot(n);
   step_count total = 0;
   for (bin_count i = 0; i < n; ++i) total += snap[i];
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     const auto rel = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, total, 3);
     for (bin_count i = 0; i < n; ++i) {
       EXPECT_EQ(rel[i], snap[i]) << kernel_isa_name(isa) << " bin " << i;
@@ -497,7 +484,7 @@ TEST(DepartKernel, DrainFullExhaustionBitIdenticalAndGuarded) {
   for (bin_count i = 0; i < n; ++i) {
     EXPECT_EQ(reference[i], static_cast<std::uint32_t>(base + snap[i])) << "bin " << i;
   }
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     EXPECT_EQ(depart_counts(isa, 8, depart_channel::drain, n, snap, base, 1, capacity, 9),
               reference)
         << kernel_isa_name(isa);
@@ -514,7 +501,7 @@ TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
   const bin_count n = 53;
   const auto snap = make_snapshot(n);
   for (const depart_channel channel : {depart_channel::drain, depart_channel::random}) {
-    for (const kernel_isa isa : supported_backends()) {
+    for (const kernel_isa isa : supported_isas()) {
       std::vector<std::uint16_t> row16(n, 0);
       kernel_depart(isa, 8, channel, n, snap.data(), 25000, span_of(snap, n), 1, row16.data(),
                     9999, 5);
@@ -533,7 +520,7 @@ TEST(DepartKernel, UInt16AndUInt32RowsAgree) {
 TEST(DepartKernel, CountsSumToKAndRespectCapacity) {
   const bin_count n = 64;
   const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     // Weighted drain: rel[i] * w can never exceed the bin's snapshot load.
     const auto drained = depart_counts(isa, 8, depart_channel::drain, n, snap, 301, 3, 5000, 11);
     EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 5000);
@@ -579,7 +566,7 @@ TEST(DepartKernel, GoldenContractRegression) {
     }
     return fnv;
   };
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     const auto drained = depart_counts(isa, 8, depart_channel::drain, n, snap, 2000, 1, 100000, 42);
     EXPECT_EQ(std::accumulate(drained.begin(), drained.end(), std::int64_t{0}), 100000)
         << kernel_isa_name(isa);
@@ -606,7 +593,7 @@ TEST(DepartKernel, GoldenDenseRandomRegression) {
     }
     return fnv;
   };
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     const auto departing = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, 5000, 42);
     EXPECT_EQ(fnv_of(departing), 3810973258842324073ULL) << kernel_isa_name(isa);
     const auto staying = depart_counts(isa, 8, depart_channel::random, n, snap, 0, 1, 15000, 42);
@@ -661,7 +648,7 @@ TEST(DepartEngineKernel, BatchedBitIdenticalAcrossIsaBackends) {
   for (const char* channel : {"drain", "random"}) {
     std::vector<load_t> reference;
     std::uint64_t reference_rng_state = 0;
-    for (const kernel_isa isa : supported_backends()) {
+    for (const kernel_isa isa : supported_isas()) {
       rng_t rng(7);
       any_process process = churned_process(channel, 64, 20000, 7, rng);
       kernel_engine engine(kernel_options{.lanes = 8, .isa = isa, .min_window = 1});
@@ -689,7 +676,7 @@ TEST(DepartEngineKernel, BatchedBitIdenticalAcrossIsaBackends) {
 TEST(DepartEngineShard, BatchedBitIdenticalAcrossThreadCountsAndBackends) {
   std::vector<load_t> reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const kernel_isa isa : supported_backends()) {
+    for (const kernel_isa isa : supported_isas()) {
       rng_t rng(21);
       any_process process = churned_process("drain", 64, 20000, 21, rng);
       shard_engine engine(shard_options{

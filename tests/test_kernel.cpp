@@ -24,21 +24,8 @@ namespace {
 
 using namespace nb;
 
-/// Every ISA the dispatch knows (excluding auto_detect), supported or not.
-const std::vector<kernel_isa>& all_backends() {
-  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
-                                               kernel_isa::avx512, kernel_isa::neon};
-  return isas;
-}
-
-/// Backends that can execute on this machine (scalar always can).
-std::vector<kernel_isa> supported_backends() {
-  std::vector<kernel_isa> isas;
-  for (const kernel_isa isa : all_backends()) {
-    if (kernel_isa_supported(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
+using nb::testing::all_isas;
+using nb::testing::supported_isas;
 
 /// A deterministic snapshot with plenty of ties (offsets cycle 0..4) and
 /// the 3 padding bytes the vector gathers require.
@@ -174,7 +161,7 @@ TEST(Kernel, BackendsBitIdenticalAcrossShapes) {
   // (1, 3, 5), one AVX-512 vector plus remainder lanes (13), whole vectors
   // (8, 16, 64), tiny bins, ball counts that end mid-round, and multiple
   // blocks (balls > the driver's 8192-ball block).
-  const auto isas = supported_backends();
+  const auto isas = supported_isas();
   ASSERT_GE(isas.size(), 1u);
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
@@ -216,7 +203,7 @@ TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
   // tails, multi-block runs.  AVX2 uses hardware gathers for the threshold /
   // alias / snapshot lookups; NEON vectorizes only the draw generation --
   // all must match the scalar reference bit for bit.
-  const auto isas = supported_backends();
+  const auto isas = supported_isas();
   for (const bin_count n : {1u, 2u, 7u, 97u, 4096u}) {
     const auto snap = make_snapshot(n);
     std::vector<double> weights(n);
@@ -274,7 +261,7 @@ TEST(KernelAlias, UInt16AndUInt32RowsAgree) {
   std::vector<double> weights(n);
   for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
   const alias_table table(weights);
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     std::vector<std::uint16_t> row16(n, 0);
     kernel_run_alias(isa, 8, n, snap.data(), table.thresholds(), table.aliases(), row16.data(),
                      9999, 5);
@@ -288,7 +275,7 @@ TEST(KernelAlias, UInt16AndUInt32RowsAgree) {
 TEST(Kernel, UInt16AndUInt32RowsAgree) {
   const bin_count n = 53;
   const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     std::vector<std::uint16_t> row16(n, 0);
     kernel_run(isa, 8, n, snap.data(), row16.data(), 9999, 5);
     const auto row32 = kernel_counts(isa, 8, n, snap, 9999, 5);
@@ -319,7 +306,7 @@ TEST(Kernel, GoldenLaneContractRegression) {
   // once would still fail here.
   const bin_count n = 101;
   const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     const auto counts = kernel_counts(isa, 8, n, snap, 100000, 42);
     std::uint64_t fnv = 0xCBF29CE484222325ULL;
     for (const std::uint32_t c : counts) {
@@ -355,7 +342,7 @@ TEST(KernelEngine, BitIdenticalAcrossIsaBackends) {
   const step_count m = 64 * n;
   const auto reference = kernel_engine_loads(kernel_isa::scalar, 8, n, m, 7);
   EXPECT_EQ(nb::testing::total_balls(reference), m);
-  for (const kernel_isa isa : supported_backends()) {
+  for (const kernel_isa isa : supported_isas()) {
     EXPECT_EQ(kernel_engine_loads(isa, 8, n, m, 7), reference) << kernel_isa_name(isa);
   }
   // auto_detect resolves to one of the backends, so it matches too.
@@ -462,7 +449,7 @@ TEST(ShardEngineKernel, BitIdenticalAcrossThreadCountsAndBackends) {
   const auto reference = shard_kernel_loads(1, kernel_isa::scalar, n, m, 2025);
   EXPECT_EQ(nb::testing::total_balls(reference), m);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const kernel_isa isa : supported_backends()) {
+    for (const kernel_isa isa : supported_isas()) {
       EXPECT_EQ(shard_kernel_loads(threads, isa, n, m, 2025), reference)
           << threads << " threads, " << kernel_isa_name(isa);
     }
@@ -530,7 +517,7 @@ TEST(KernelEngine, SimulateKernelAndRepeatRouting) {
 // (5) Dispatch plumbing.
 
 TEST(KernelIsa, NamesRoundTripAndAliases) {
-  for (const kernel_isa isa : all_backends()) {
+  for (const kernel_isa isa : all_isas()) {
     const auto back = kernel_isa_from_name(kernel_isa_name(isa));
     ASSERT_TRUE(back.has_value()) << kernel_isa_name(isa);
     EXPECT_EQ(*back, isa) << kernel_isa_name(isa);
@@ -561,7 +548,7 @@ TEST(KernelIsa, UnsupportedForcedIsaWarnsOnceOnFallback) {
   // build has at least one unsupported backend (neon on x86, the x86 ISAs
   // on aarch64).
   bool exercised = false;
-  for (const kernel_isa isa : all_backends()) {
+  for (const kernel_isa isa : all_isas()) {
     if (kernel_isa_supported(isa)) continue;
     exercised = true;
     const std::string key = std::string("kernel-isa-fallback:") + kernel_isa_name(isa);

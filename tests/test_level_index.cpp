@@ -191,13 +191,18 @@ load_state incremental_state(bin_count n, load_t base, load_t span, std::uint64_
 TEST(LevelIndex, RebuildMatchesIncrementalMaintenanceAndRecount) {
   // Spans on both sides of the sub-counter fast path's limit plus a wide
   // one, over lengths that are and are not multiples of the sub-counter
-  // count.
+  // count or of the commit pass's vector widths.  Each state is also
+  // rebuilt by a commit pass (one merged window from empty bins) on every
+  // supported target: the bounds it folds must match.
   const load_t small = level_index::small_span_levels;
   const auto lanes = static_cast<bin_count>(level_index::histogram_lanes);
-  for (const load_t span : {0, 1, 16, small - 2, small - 1, small, 3000}) {
-    for (const bin_count n : {bin_count{1}, bin_count{2}, lanes - 1, lanes, lanes + 1,
-                              3 * lanes + 5}) {
+  std::vector<bin_count> sizes = {bin_count{1}, bin_count{2}, lanes - 1, lanes, lanes + 1,
+                                  3 * lanes + 5};
+  for (const bin_count n : nb::testing::commit_pass_sizes()) sizes.push_back(n);
+  for (const load_t span : {0, 1, 16, small - 2, small - 1, small, small + 1, 3000}) {
+    for (const bin_count n : sizes) {
       if (n == 1 && span > 0) continue;  // one bin has no span
+      if (n > 1000 && span > small + 1) continue;  // per-ball set-up cost
       SCOPED_TRACE("span " + std::to_string(span) + ", n " + std::to_string(n));
       const load_state s =
           incremental_state(n, 3, span, static_cast<std::uint64_t>(span) * 31 + n);
@@ -209,6 +214,14 @@ TEST(LevelIndex, RebuildMatchesIncrementalMaintenanceAndRecount) {
       level_index bounded_rebuild;
       ASSERT_TRUE(bounded_rebuild.rebuild(s.loads(), s.min_load(), s.max_load()));
       expect_same_index(bounded_rebuild, s.levels());
+      const std::vector<std::uint32_t> add(s.loads().begin(), s.loads().end());
+      for (const kernel_isa isa : nb::testing::supported_isas()) {
+        SCOPED_TRACE(std::string("isa ") + kernel_isa_name(isa));
+        load_state merged(n);
+        merged.apply_increments(add, 1, isa);
+        ASSERT_EQ(merged.loads(), s.loads());
+        expect_same_index(merged.levels(), s.levels());
+      }
     }
   }
 }
@@ -216,49 +229,55 @@ TEST(LevelIndex, RebuildMatchesIncrementalMaintenanceAndRecount) {
 TEST(LevelIndex, WindowCommitsMatchPerBallMaintenance) {
   // Each merged commit (unit and fixed-weight increments, signed deltas,
   // bulk releases) rebuilds the index from bounds folded into its update
-  // pass; it must equal the same balls placed or removed one at a time.
-  for (const bin_count n : {bin_count{1}, bin_count{7}, bin_count{8}, bin_count{300}}) {
-    SCOPED_TRACE("n " + std::to_string(n));
-    rng_t rng(n);
-    load_state merged(n);
-    load_state per_ball(n);
-    for (int round = 0; round < 6; ++round) {
-      const weight_t w = round % 2 == 0 ? 1 : 5;
-      std::vector<std::uint32_t> add(n);
-      for (bin_index i = 0; i < n; ++i) {
-        add[i] = static_cast<std::uint32_t>(bounded(rng, round == 5 ? 400 : 4));
-        for (std::uint32_t k = 0; k < add[i]; ++k) per_ball.allocate(i, w);
-      }
-      merged.apply_increments(add, w);
-      ASSERT_EQ(merged.loads(), per_ball.loads());
-      expect_levels_consistent(merged);
-      expect_same_index(merged.levels(), per_ball.levels());
+  // pass; it must equal the same balls placed or removed one at a time,
+  // on every target the dispatched commits are compiled for.
+  std::vector<bin_count> sizes = {bin_count{1}, bin_count{7}, bin_count{8}, bin_count{300}};
+  for (const bin_count n : nb::testing::commit_pass_sizes()) sizes.push_back(n);
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    for (const bin_count n : sizes) {
+      SCOPED_TRACE(std::string("isa ") + kernel_isa_name(isa) + ", n " + std::to_string(n));
+      rng_t rng(n);
+      load_state merged(n);
+      load_state per_ball(n);
+      for (int round = 0; round < 6; ++round) {
+        const weight_t w = round % 2 == 0 ? 1 : 5;
+        std::vector<std::uint32_t> add(n);
+        for (bin_index i = 0; i < n; ++i) {
+          add[i] = static_cast<std::uint32_t>(bounded(rng, round == 5 ? 400 : 4));
+          for (std::uint32_t k = 0; k < add[i]; ++k) per_ball.allocate(i, w);
+        }
+        merged.apply_increments(add, w, isa);
+        ASSERT_EQ(merged.loads(), per_ball.loads());
+        expect_levels_consistent(merged);
+        expect_same_index(merged.levels(), per_ball.levels());
 
-      std::vector<std::uint32_t> rel(n);
-      step_count k = 0;
-      for (bin_index i = 0; i < n; ++i) {
-        rel[i] = static_cast<std::uint32_t>(bounded(rng, add[i] + 1));
-        for (std::uint32_t j = 0; j < rel[i]; ++j) per_ball.release(i, w);
-        k += rel[i];
+        std::vector<std::uint32_t> rel(n);
+        step_count k = 0;
+        for (bin_index i = 0; i < n; ++i) {
+          rel[i] = static_cast<std::uint32_t>(bounded(rng, add[i] + 1));
+          for (std::uint32_t j = 0; j < rel[i]; ++j) per_ball.release(i, w);
+          k += rel[i];
+        }
+        merged.apply_releases(rel, w, k, isa);
+        ASSERT_EQ(merged.loads(), per_ball.loads());
+        expect_levels_consistent(merged);
+        expect_same_index(merged.levels(), per_ball.levels());
       }
-      merged.apply_releases(rel, w, k);
+      // A signed window: one unit ball into bin 0, one out of the fullest
+      // bin.
+      std::vector<std::int64_t> delta(n, 0);
+      const auto fullest = static_cast<bin_index>(
+          std::max_element(per_ball.loads().begin(), per_ball.loads().end()) -
+          per_ball.loads().begin());
+      delta[0] += 1;
+      delta[fullest] -= 1;
+      per_ball.allocate(0);
+      per_ball.release(fullest);
+      merged.apply_increments(delta, 0);
       ASSERT_EQ(merged.loads(), per_ball.loads());
       expect_levels_consistent(merged);
       expect_same_index(merged.levels(), per_ball.levels());
     }
-    // A signed window: one unit ball into bin 0, one out of the fullest bin.
-    std::vector<std::int64_t> delta(n, 0);
-    const auto fullest = static_cast<bin_index>(
-        std::max_element(per_ball.loads().begin(), per_ball.loads().end()) -
-        per_ball.loads().begin());
-    delta[0] += 1;
-    delta[fullest] -= 1;
-    per_ball.allocate(0);
-    per_ball.release(fullest);
-    merged.apply_increments(delta, 0);
-    ASSERT_EQ(merged.loads(), per_ball.loads());
-    expect_levels_consistent(merged);
-    expect_same_index(merged.levels(), per_ball.levels());
   }
 }
 

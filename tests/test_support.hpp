@@ -48,6 +48,29 @@ double mean_gap_of(Factory&& factory, step_count m, std::size_t runs, std::uint6
   return acc / static_cast<double>(runs);
 }
 
+/// Every kernel_isa the dispatch knows (excluding auto_detect), supported
+/// or not.
+inline const std::vector<kernel_isa>& all_isas() {
+  static const std::vector<kernel_isa> isas = {kernel_isa::scalar, kernel_isa::avx2,
+                                               kernel_isa::avx512, kernel_isa::neon};
+  return isas;
+}
+
+/// The targets this machine can execute (scalar always can): the
+/// allocation and departure kernels and the window commit pass dispatch
+/// on them.
+inline std::vector<kernel_isa> supported_isas() {
+  std::vector<kernel_isa> isas;
+  for (const kernel_isa isa : all_isas()) {
+    if (kernel_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+/// Bin counts around the commit pass's vector widths and unrolling, plus
+/// a large one that leaves a remainder at every width.
+inline std::vector<bin_count> commit_pass_sizes() { return {15, 16, 17, 64, 100003}; }
+
 /// Total number of balls across bins.
 inline std::int64_t total_balls(const std::vector<load_t>& loads) {
   std::int64_t sum = 0;

@@ -268,12 +268,14 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
     const weight_t total = state.total_weight();
     const load_t mn = state.min_load();
     const load_t mx = state.max_load();
-    EXPECT_THROW(state.apply_increments(add, weight), contract_error);
-    EXPECT_EQ(state.loads(), loads);
-    EXPECT_EQ(state.balls(), balls);
-    EXPECT_EQ(state.total_weight(), total);
-    EXPECT_EQ(state.min_load(), mn);
-    EXPECT_EQ(state.max_load(), mx);
+    for (const kernel_isa isa : nb::testing::supported_isas()) {
+      EXPECT_THROW(state.apply_increments(add, weight, isa), contract_error);
+      EXPECT_EQ(state.loads(), loads);
+      EXPECT_EQ(state.balls(), balls);
+      EXPECT_EQ(state.total_weight(), total);
+      EXPECT_EQ(state.min_load(), mn);
+      EXPECT_EQ(state.max_load(), mx);
+    }
   };
   expect_refused(s, {1, 0}, w);
   // 127 * 2^24 + 2e7 unit balls crosses INT32_MAX in bin 0 even though
@@ -285,8 +287,59 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
   expect_refused(fresh, {3000000000u, 0, 0, 0}, 1);
   expect_refused(fresh, {1500000000u, 1500000000u, 0, 0}, 1);
   const std::vector<std::uint32_t> add = {0, 1};
-  s.apply_increments(add, w);  // the other bin still has room
+  s.apply_increments(add, w, kernel_isa::auto_detect);  // the other bin still has room
   EXPECT_EQ(static_cast<weight_t>(s.load(1)), w);
+
+  // A b-Batch window commit runs the same guard before its pass writes
+  // anything: a refused window leaves the loads, the stale row, the
+  // process-held snapshot and the caller's count row -- which an accepted
+  // window hands back zeroed -- exactly as they were.  The boundary
+  // window (stale refresh + snapshot rewrite) and a partial one (plain
+  // increments) are both checked on every supported target.
+  const auto expect_batch_refused = [](b_batch& p, std::vector<std::uint32_t> inc,
+                                       step_count balls, kernel_isa isa) {
+    const std::vector<load_t> loads = p.state().loads();
+    std::vector<load_t> stale(p.state().n());
+    for (bin_index i = 0; i < p.state().n(); ++i) stale[i] = p.reported_load(i);
+    const compact_snapshot& snapshot = p.window_snapshot();
+    const bool ok = snapshot.ok();
+    const load_t base = snapshot.base();
+    const std::vector<std::uint8_t> bytes(snapshot.data(),
+                                          snapshot.data() + p.state().n() +
+                                              compact_snapshot::tail_padding);
+    const std::vector<std::uint32_t> row = inc;
+    EXPECT_THROW(p.commit_window(inc, balls, isa), contract_error);
+    EXPECT_EQ(p.state().loads(), loads);
+    for (bin_index i = 0; i < p.state().n(); ++i) EXPECT_EQ(p.reported_load(i), stale[i]);
+    EXPECT_EQ(inc, row) << "refused window's count row was consumed";
+    const compact_snapshot& after = p.window_snapshot();
+    EXPECT_EQ(after.ok(), ok);
+    EXPECT_EQ(after.base(), base);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), after.data()));
+  };
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    SCOPED_TRACE(std::string("isa ") + kernel_isa_name(isa));
+    // Weight 2^24 per ball: bin 0 takes `safe` balls in a partial window,
+    // then any further ball into it would cross INT32_MAX.
+    b_batch p(2, safe + 2);
+    alloc_model model;
+    model.weighting = ball_weighting::fixed(w);
+    p.set_model(model);
+    std::vector<std::uint32_t> fill = {static_cast<std::uint32_t>(safe), 0};
+    p.commit_window(fill, safe, isa);
+    ASSERT_EQ(static_cast<weight_t>(p.state().load(0)), safe * w);
+    ASSERT_EQ(fill, std::vector<std::uint32_t>(2, 0));
+    expect_batch_refused(p, {1, 0}, 1, isa);  // partial: 2 balls short of the boundary
+    expect_batch_refused(p, {2, 0}, 2, isa);  // ends the batch
+    std::vector<std::uint32_t> last = {0, 2};
+    p.commit_window(last, 2, isa);  // the other bin still has room
+    EXPECT_EQ(static_cast<weight_t>(p.state().load(1)), 2 * w);
+    EXPECT_EQ(p.reported_load(0), p.state().load(0));
+    EXPECT_EQ(p.reported_load(1), p.state().load(1));
+    // A whole batch with nothing touched before it: refused by the
+    // commit pass's own validation.
+    expect_batch_refused(p, {static_cast<std::uint32_t>(safe) + 2, 0}, safe + 2, isa);
+  }
 }
 
 TEST(WeightedLoadState, InvalidWeightsRejected) {
