@@ -365,6 +365,10 @@ void run_workers_matrix(bin_count n, step_count total_m,
   std::string reference_json;
   double rate_1w = 0.0;
   for (const std::size_t w : workers_list) {
+    // The zipf two-choice cells make the campaign's one-shot use_kernel
+    // diagnostic fire on stderr; flush the table first so that line lands
+    // between rows, not inside one.
+    std::fflush(stdout);
     campaign_options opt;
     opt.repeats = 1;
     opt.seed = seed;

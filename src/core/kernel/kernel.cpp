@@ -3,8 +3,9 @@
 // The driver owns everything backend-independent: lane-state setup, the
 // Lemire threshold hoist, cutting the run into L1-resident blocks (always
 // at multiples of the lane count, so every backend sees the same aligned
-// lane rotation), and folding the decided bins into the caller's count
-// row.  Backends only fill the block's chosen-bin buffer.
+// lane rotation), and handing each decided block on: kernel_run folds it
+// into the caller's count row, kernel_emit passes it to the caller's sink.
+// Backends only fill the block's chosen-bin buffer.
 //
 // The fold loop is where the kernel actually hits the memory wall at
 // paper scale: `++row[chosen[i]]` is a random read-modify-write over a
@@ -51,8 +52,7 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
 
 /// Folds one decided block into the caller's row, prefetching the
 /// increment targets kFoldPrefetchDist balls ahead.
-template <typename Row>
-void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count) {
+void fold_block(std::uint32_t* row, const std::uint32_t* chosen, std::size_t count) {
   const std::size_t main = count > kFoldPrefetchDist ? count - kFoldPrefetchDist : 0;
   for (std::size_t i = 0; i < main; ++i) {
     __builtin_prefetch(&row[chosen[i + kFoldPrefetchDist]], 1, 1);
@@ -61,13 +61,16 @@ void fold_block(Row* row, const std::uint32_t* chosen, std::size_t count) {
   for (std::size_t i = main; i < count; ++i) ++row[chosen[i]];
 }
 
-template <typename Row>
-void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap, Row* row,
-              step_count balls, std::uint64_t seed) {
+/// The block loop shared by every entry point: `fill(state, threshold,
+/// chosen, count)` decides the next `count` balls into `chosen`, and
+/// `emit(chosen, count)` consumes them before the next block overwrites
+/// the buffer.
+template <typename Fill, typename Emit>
+void drive(std::size_t lanes, bin_count n, step_count balls, std::uint64_t seed, const Fill& fill,
+           const Emit& emit) {
   NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
   NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && row != nullptr);
-  const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
+  NB_ASSERT(balls >= 0);
   kernel_detail::lane_soa state;
   state.init(lanes, seed);
   const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
@@ -76,8 +79,8 @@ void run_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t
   while (balls > 0) {
     const std::size_t count =
         balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, chosen, count);
-    fold_block(row, chosen, count);
+    fill(state, threshold, chosen, count);
+    emit(static_cast<const std::uint32_t*>(chosen), count);
     balls -= static_cast<step_count>(count);
   }
 }
@@ -99,27 +102,27 @@ kernel_detail::fill_alias_fn pick_fill_alias(kernel_isa resolved) noexcept {
   }
 }
 
-template <typename Row>
-void run_alias_impl(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                    const std::uint64_t* thresh, const bin_index* alias, Row* row,
-                    step_count balls, std::uint64_t seed) {
-  NB_REQUIRE(lanes >= 1 && lanes <= kernel_max_lanes, "kernel lanes must be in [1, 64]");
-  NB_REQUIRE(n >= 1, "kernel needs at least one bin");
-  NB_ASSERT(balls >= 0 && snap != nullptr && thresh != nullptr && alias != nullptr &&
-            row != nullptr);
+template <typename Emit>
+void run_uniform(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                 step_count balls, std::uint64_t seed, const Emit& emit) {
+  NB_ASSERT(snap != nullptr);
+  const kernel_detail::fill_fn fill = pick_fill(resolve_kernel_isa(isa));
+  drive(lanes, n, balls, seed,
+        [&](kernel_detail::lane_soa& state, std::uint64_t threshold, std::uint32_t* chosen,
+            std::size_t count) { fill(state, n, threshold, snap, chosen, count); },
+        emit);
+}
+
+template <typename Emit>
+void run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+               const std::uint64_t* thresh, const bin_index* alias, step_count balls,
+               std::uint64_t seed, const Emit& emit) {
+  NB_ASSERT(snap != nullptr && thresh != nullptr && alias != nullptr);
   const kernel_detail::fill_alias_fn fill = pick_fill_alias(resolve_kernel_isa(isa));
-  kernel_detail::lane_soa state;
-  state.init(lanes, seed);
-  const std::uint64_t threshold = kernel_detail::lemire_threshold(n);
-  const std::size_t block = (kBlockBalls / lanes) * lanes;
-  alignas(64) std::uint32_t chosen[kBlockBalls];
-  while (balls > 0) {
-    const std::size_t count =
-        balls < static_cast<step_count>(block) ? static_cast<std::size_t>(balls) : block;
-    fill(state, n, threshold, snap, thresh, alias, chosen, count);
-    fold_block(row, chosen, count);
-    balls -= static_cast<step_count>(count);
-  }
+  drive(lanes, n, balls, seed,
+        [&](kernel_detail::lane_soa& state, std::uint64_t threshold, std::uint32_t* chosen,
+            std::size_t count) { fill(state, n, threshold, snap, thresh, alias, chosen, count); },
+        emit);
 }
 
 }  // namespace
@@ -210,25 +213,33 @@ std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept {
 }
 
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint16_t* row, step_count balls, std::uint64_t seed) {
-  run_impl(isa, lanes, n, snap, row, balls, seed);
-}
-
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  run_impl(isa, lanes, n, snap, row, balls, seed);
+  NB_ASSERT(row != nullptr);
+  run_uniform(isa, lanes, n, snap, balls, seed,
+              [row](const std::uint32_t* chosen, std::size_t count) {
+                fold_block(row, chosen, count);
+              });
 }
 
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
-                      step_count balls, std::uint64_t seed) {
-  run_alias_impl(isa, lanes, n, snap, thresh, alias, row, balls, seed);
+void kernel_emit(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                 step_count balls, std::uint64_t seed, const kernel_sink& sink) {
+  run_uniform(isa, lanes, n, snap, balls, seed, sink);
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed) {
-  run_alias_impl(isa, lanes, n, snap, thresh, alias, row, balls, seed);
+  NB_ASSERT(row != nullptr);
+  run_alias(isa, lanes, n, snap, thresh, alias, balls, seed,
+            [row](const std::uint32_t* chosen, std::size_t count) {
+              fold_block(row, chosen, count);
+            });
+}
+
+void kernel_emit_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                       const std::uint64_t* thresh, const bin_index* alias, step_count balls,
+                       std::uint64_t seed, const kernel_sink& sink) {
+  run_alias(isa, lanes, n, snap, thresh, alias, balls, seed, sink);
 }
 
 }  // namespace nb

@@ -16,10 +16,12 @@
 //
 // The decision is the canonical two-sample rule over the snapshot:
 // the less loaded of snap[i1]/snap[i2], ties broken by the top bit of c
-// (bit set -> i1), and the chosen bin's counter is incremented.
+// (bit set -> i1), and the chosen bin's counter is incremented (kernel_run)
+// or the chosen bin is handed to the caller (kernel_emit).
 //
-// CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts are
-// a pure function of (lanes, n, snapshot, balls, seed).  The instruction-
+// CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts (and
+// the emitted bin sequence) are a pure function of (lanes, n, snapshot,
+// balls, seed).  The instruction-
 // set backend -- scalar, AVX2, AVX-512 or NEON, selected at runtime
 // -- is execution only and NEVER affects results; `lanes` is a sampling
 // parameter exactly like shard_options::shards (changing it changes which
@@ -32,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string_view>
 
@@ -75,15 +78,23 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// used by bench CLIs.  nullopt for anything else.
 [[nodiscard]] std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept;
 
+/// Receives kernel_emit's decisions in ball order, one block at a time:
+/// chosen[0, count) are the chosen bins of the next `count` balls.  The
+/// buffer is reused for the next block once the sink returns.
+using kernel_sink = std::function<void(const std::uint32_t* chosen, std::size_t count)>;
+
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
 /// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per
-/// ball.  The uint16 overload is the shard-engine row (caller guarantees
-/// <= 65535 balls per call, as shard_engine's window cap does); the uint32
-/// overload serves whole serial windows.
-void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint16_t* row, step_count balls, std::uint64_t seed);
+/// ball (the serial kernel engine's whole-window row).
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                 std::uint32_t* row, step_count balls, std::uint64_t seed);
+
+/// The same decisions as kernel_run, handed to `sink` block by block
+/// instead of folded into a row: folding every emitted bin gives
+/// kernel_run's counts exactly.  The shard engine partitions them by bin
+/// range, so no shard needs a row of its own.
+void kernel_emit(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                 step_count balls, std::uint64_t seed, const kernel_sink& sink);
 
 /// Alias-sampled variant (non-uniform bin probabilities): each of a ball's
 /// two bin indices is one alias draw -- a Lemire-bounded slot over [n)
@@ -96,10 +107,12 @@ void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8
 /// the snapshot; NEON vectorizes the draw generation and picks scalar --
 /// table lookups without hardware gathers don't pay).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint16_t* row,
-                      step_count balls, std::uint64_t seed);
-void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
                       const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
                       step_count balls, std::uint64_t seed);
+
+/// kernel_emit for the alias-sampled decisions of kernel_run_alias.
+void kernel_emit_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
+                       const std::uint64_t* thresh, const bin_index* alias, step_count balls,
+                       std::uint64_t seed, const kernel_sink& sink);
 
 }  // namespace nb

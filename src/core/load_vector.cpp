@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -31,35 +32,46 @@ void load_state::reset() {
   lease_count_ = 0;
 }
 
-bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
-  NB_ASSERT(!loads.empty() && mn <= mx);
-  if (mx - mn > max_dense_span) return false;
+bin_count* level_index::rebuild_begin(bin_count n, load_t mn, load_t mx) {
+  NB_ASSERT(n >= 1 && mn <= mx);
+  if (mx - mn > max_dense_span) return nullptr;
   base_ = mn;
   min_ = mn;
   max_ = mx;
-  n_ = static_cast<bin_count>(loads.size());
+  n_ = n;
+  counts_.assign(static_cast<std::size_t>(mx - mn) + 1, 0);
+  return counts_.data();
+}
+
+void level_index::count_levels(const load_t* x, std::size_t size, load_t mn, std::size_t levels,
+                               bin_count* out) noexcept {
+  NB_ASSERT(levels >= 1 && levels <= static_cast<std::size_t>(small_span_levels));
+  constexpr std::size_t lanes = histogram_lanes;
+  std::array<bin_count, lanes * static_cast<std::size_t>(small_span_levels)> sub;
+  std::fill_n(sub.begin(), lanes * levels, bin_count{0});
+  std::size_t i = 0;
+  for (; i + lanes <= size; i += lanes) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ++sub[l * levels + static_cast<std::size_t>(x[i + l] - mn)];
+    }
+  }
+  for (; i < size; ++i) ++sub[static_cast<std::size_t>(x[i] - mn)];
+  for (std::size_t v = 0; v < levels; ++v) {
+    bin_count c = 0;
+    for (std::size_t l = 0; l < lanes; ++l) c += sub[l * levels + v];
+    out[v] = c;
+  }
+}
+
+bool level_index::rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx) {
+  NB_ASSERT(!loads.empty());
+  bin_count* counts = rebuild_begin(static_cast<bin_count>(loads.size()), mn, mx);
+  if (counts == nullptr) return false;
   const auto levels = static_cast<std::size_t>(mx - mn) + 1;
-  counts_.assign(levels, 0);
-  const load_t* x = loads.data();
-  const std::size_t size = loads.size();
-  if (levels > static_cast<std::size_t>(small_span_levels)) {
-    for (std::size_t i = 0; i < size; ++i) ++counts_[static_cast<std::size_t>(x[i] - mn)];
+  if (levels <= static_cast<std::size_t>(small_span_levels)) {
+    count_levels(loads.data(), loads.size(), mn, levels, counts);
   } else {
-    constexpr std::size_t lanes = histogram_lanes;
-    std::array<bin_count, lanes * static_cast<std::size_t>(small_span_levels)> sub;
-    std::fill_n(sub.begin(), lanes * levels, bin_count{0});
-    std::size_t i = 0;
-    for (; i + lanes <= size; i += lanes) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        ++sub[l * levels + static_cast<std::size_t>(x[i + l] - mn)];
-      }
-    }
-    for (; i < size; ++i) ++sub[static_cast<std::size_t>(x[i] - mn)];
-    for (std::size_t v = 0; v < levels; ++v) {
-      bin_count c = 0;
-      for (std::size_t l = 0; l < lanes; ++l) c += sub[l * levels + v];
-      counts_[v] = c;
-    }
+    for (const load_t x : loads) ++counts[static_cast<std::size_t>(x - mn)];
   }
   NB_ASSERT(counts_.front() > 0 && counts_.back() > 0);
   return true;
@@ -107,20 +119,17 @@ std::uint8_t* compact_snapshot::rewrite_begin(std::size_t n) {
 
 bool compact_snapshot::rewrite_end(load_t mn, load_t mx) {
   NB_ASSERT(mn <= mx);
-  // The pass wrote (v[i] - base_) mod 256.  Subtracting (mn - base_) mod
-  // 256 leaves (v[i] - mn) mod 256, which is the exact offset whenever the
-  // span fits in a byte -- whichever way the base moved.
-  const auto shift = static_cast<std::uint8_t>(mn - base_);
   base_ = mn;
   ok_ = (mx - mn) <= 255;
-  if (!ok_) return false;
-  span_ = static_cast<std::uint8_t>(mx - mn);
-  if (shift != 0) {
-    std::uint8_t* off = off_.data();
-    const std::size_t n = n_;
-    for (std::size_t i = 0; i < n; ++i) off[i] = static_cast<std::uint8_t>(off[i] - shift);
-  }
-  return true;
+  if (ok_) span_ = static_cast<std::uint8_t>(mx - mn);
+  return ok_;
+}
+
+bin_ranges bin_ranges::split(bin_count n, std::size_t target) noexcept {
+  const std::uint64_t per_range = target > 1 ? n / target : n;
+  // Largest power of two not above per_range, and at least 64 bins.
+  const auto width_log2 = static_cast<unsigned>(std::bit_width(per_range | 1)) - 1;
+  return {std::max(width_log2, 6u)};
 }
 
 void shard_deltas::reset(std::size_t shards, bin_count n) {
@@ -289,32 +298,36 @@ pass_bounds rewrite_loads(kernel_isa isa, const pass_args& a) {
   }
 }
 
-count_scan scan_counts(kernel_isa isa, const std::vector<std::uint32_t>& c) {
+count_scan scan_counts(kernel_isa isa, const std::uint32_t* c, std::size_t n) {
   switch (resolve_kernel_isa(isa)) {
 #if defined(__x86_64__) || defined(__i386__)
     case kernel_isa::avx512:
-      return scan_avx512(c.data(), c.size());
+      return scan_avx512(c, n);
     case kernel_isa::avx2:
-      return scan_avx2(c.data(), c.size());
+      return scan_avx2(c, n);
 #endif
     default:
-      return scan_body(c.data(), c.size());
+      return scan_body(c, n);
   }
 }
 
 }  // namespace
 
-step_count load_state::check_increments(const std::vector<std::uint32_t>& add,
-                                        weight_t weight_per_ball, kernel_isa isa) const {
-  NB_ASSERT(!bulk_);
-  NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
-  NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
-             "per-ball weight must be in [1, max_ball_weight]");
-  // Validate the whole window BEFORE mutating any bin (strong exception
-  // safety, like allocate(i, w)): a throw must not leave a prefix of bins
-  // inflated while balls_/levels_ still reflect the old state.  One pass
-  // over `add` alone yields the ball total and the largest per-bin count.
-  const auto [total, peak] = scan_counts(isa, add);
+/// What an arrival commit's update pass reads and writes: `counts` per
+/// bin, each ball of weight `weight`; a blend (row != nullptr) also
+/// blends `row`, writes `off` against `off_base` and zeroes `consumed`,
+/// the same counts.
+struct load_state::window_pass {
+  const std::uint32_t* counts = nullptr;
+  std::uint32_t* consumed = nullptr;
+  load_t weight = 1;
+  load_t* row = nullptr;
+  std::uint8_t* off = nullptr;
+  load_t off_base = 0;
+};
+
+void load_state::check_increments(const std::uint32_t* add, step_count total, std::uint32_t peak,
+                                  weight_t weight_per_ball) const {
   NB_REQUIRE(total <= max_run_balls - balls_,
              "window would exceed the run's ball ceiling (max_run_balls)");
   // Same int64-overflow audit as the weighted allocate(), phrased as a
@@ -335,50 +348,149 @@ step_count load_state::check_increments(const std::vector<std::uint32_t>& add,
                  "window would overflow bin " + std::to_string(i) + "'s 32-bit load");
     }
   }
-  return total;
+}
+
+load_state::row_bounds load_state::commit_counts(const window_pass& pass, step_count balls,
+                                                 kernel_isa isa, const commit_plan& plan,
+                                                 const std::function<void()>& on_accept) {
+  NB_ASSERT(!bulk_);
+  const bin_count n = this->n();
+  const bin_ranges ranges = plan.ranges;
+  const std::size_t count = ranges.count(n);
+  isa = resolve_kernel_isa(isa);
+  const bool blend = pass.row != nullptr;
+  // Validate the whole window BEFORE mutating any bin (strong exception
+  // safety, like allocate(i, w)): a throw must not leave a prefix of bins
+  // inflated while balls_/levels_ still reflect the old state.  One scan
+  // over the counts alone yields the ball total and the largest per-bin
+  // count.
+  std::vector<count_scan> scans(count);
+  plan.for_each(count, [&](std::size_t r) {
+    if (plan.fill) plan.fill(r);
+    const bin_index lo = ranges.lo(r, n);
+    scans[r] = scan_counts(isa, pass.counts + lo, ranges.hi(r, n) - lo);
+  });
+  step_count total = 0;
+  std::uint32_t peak = 0;
+  for (const count_scan& sc : scans) {
+    total += sc.total;
+    peak = std::max(peak, sc.peak);
+  }
+  const weight_t w = pass.weight;
+  check_increments(pass.counts, total, peak, w);
+  NB_REQUIRE(balls < 0 || total == balls,
+             "window counts do not sum to the window's ball count");
+  if (on_accept) on_accept();
+  // Before the pass, which may zero the counts.
+  lease_push_counts(pass.counts, w);
+  // The level histogram.  An arrival commit only raises loads, so every
+  // new level lies in [min_load(), max_load() + peak * w].  When that
+  // window fits small_span_levels, each range counts its slice's levels
+  // into its own sub-histogram right after its pass, while the slice is
+  // still in cache, and the sub-histograms are summed in range order
+  // below; otherwise level_index::rebuild takes one serial pass.
+  const load_t lowest = levels_ok_ ? levels_.min_level() : 0;
+  const weight_t ceiling =
+      static_cast<weight_t>(levels_.max_level()) + static_cast<weight_t>(peak) * w;
+  const bool split_levels =
+      levels_ok_ && ceiling - lowest < static_cast<weight_t>(level_index::small_span_levels);
+  const std::size_t levels = split_levels ? static_cast<std::size_t>(ceiling - lowest) + 1 : 0;
+  std::vector<bin_count> sub(count * levels);
+  std::vector<pass_bounds> bounds(count);
+  plan.for_each(count, [&](std::size_t r) {
+    const bin_index lo = ranges.lo(r, n);
+    const bin_index hi = ranges.hi(r, n);
+    pass_args a;
+    a.loads = loads_.data() + lo;
+    a.n = hi - lo;
+    a.weight = pass.weight;
+    if (blend) {
+      a.consumed = pass.consumed + lo;
+      a.row = pass.row + lo;
+      a.off = pass.off + lo;
+      a.off_base = pass.off_base;
+      bounds[r] = rewrite_loads<pass_kind::blend>(isa, a);
+    } else {
+      a.counts = pass.counts + lo;
+      bounds[r] = rewrite_loads<pass_kind::add>(isa, a);
+    }
+    if (split_levels) {
+      level_index::count_levels(a.loads, a.n, lowest, levels, sub.data() + r * levels);
+    }
+  });
+  pass_bounds b = bounds.front();
+  for (const pass_bounds& br : bounds) {
+    b.mn = std::min(b.mn, br.mn);
+    b.mx = std::max(b.mx, br.mx);
+    b.row_mn = std::min(b.row_mn, br.row_mn);
+    b.row_mx = std::max(b.row_mx, br.row_mx);
+  }
+  if (split_levels) {
+    bin_count* counts = levels_.rebuild_begin(n, b.mn, b.mx);
+    const auto first = static_cast<std::size_t>(b.mn - lowest);
+    const auto last = static_cast<std::size_t>(b.mx - lowest);
+    for (std::size_t r = 0; r < count; ++r) {
+      const bin_count* c = sub.data() + r * levels;
+      for (std::size_t v = first; v <= last; ++v) counts[v - first] += c[v];
+    }
+    levels_ok_ = true;
+  } else {
+    levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
+  }
+  // A blend's bytes, re-offset to the row's new minimum: the pass wrote
+  // (row[i] - off_base) mod 256, and subtracting (row_mn - off_base) mod
+  // 256 leaves (row[i] - row_mn) mod 256, the exact offset whenever the
+  // row's span fits in a byte -- whichever way the base moved.
+  const auto shift = static_cast<std::uint8_t>(b.row_mn - pass.off_base);
+  if (blend && b.row_mx - b.row_mn <= 255 && shift != 0) {
+    plan.for_each(count, [&](std::size_t r) {
+      // Through locals: a byte store may alias anything reached through
+      // the captures, which would keep the loop from vectorizing.
+      const std::uint8_t by = shift;
+      const bin_index lo = ranges.lo(r, n);
+      std::uint8_t* off = pass.off + lo;
+      const std::size_t size = ranges.hi(r, n) - lo;
+      for (std::size_t i = 0; i < size; ++i) off[i] = static_cast<std::uint8_t>(off[i] - by);
+    });
+  }
+  balls_ += total;
+  extra_weight_ += total * (w - 1);
+  return {b.row_mn, b.row_mx};
 }
 
 void load_state::apply_increments(const std::vector<std::uint32_t>& add,
-                                  weight_t weight_per_ball, kernel_isa isa) {
-  const step_count total = check_increments(add, weight_per_ball, isa);
-  pass_args a;
-  a.loads = loads_.data();
-  a.n = loads_.size();
-  a.counts = add.data();
-  a.weight = static_cast<load_t>(weight_per_ball);
-  const pass_bounds b = rewrite_loads<pass_kind::add>(isa, a);
-  levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
-  balls_ += total;
-  extra_weight_ += total * (weight_per_ball - 1);
-  lease_push_counts(add, weight_per_ball);
+                                  weight_t weight_per_ball, kernel_isa isa,
+                                  const commit_plan& plan) {
+  NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
+  NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
+             "per-ball weight must be in [1, max_ball_weight]");
+  window_pass pass;
+  pass.counts = add.data();
+  pass.weight = static_cast<load_t>(weight_per_ball);
+  static_cast<void>(commit_counts(pass, -1, isa, plan, {}));
 }
 
 load_state::row_bounds load_state::commit_window(std::vector<std::uint32_t>& add,
                                                  weight_t weight_per_ball, step_count balls,
                                                  std::vector<load_t>& row, std::uint8_t* off,
-                                                 load_t off_base, kernel_isa isa) {
+                                                 load_t off_base, kernel_isa isa,
+                                                 const commit_plan& plan,
+                                                 const std::function<void()>& on_accept) {
+  NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(row.size() == loads_.size(), "blended row must have one entry per bin");
-  const step_count total = check_increments(add, weight_per_ball, isa);
-  NB_REQUIRE(total == balls, "window counts do not sum to the window's ball count");
-  // Before the pass, which zeroes the counts.
-  lease_push_counts(add, weight_per_ball);
-  pass_args a;
-  a.loads = loads_.data();
-  a.n = loads_.size();
-  a.consumed = add.data();
-  a.weight = static_cast<load_t>(weight_per_ball);
-  a.row = row.data();
-  a.off = off;
-  a.off_base = off_base;
-  const pass_bounds b = rewrite_loads<pass_kind::blend>(isa, a);
-  levels_ok_ = levels_.rebuild(loads_, b.mn, b.mx);
-  balls_ += total;
-  extra_weight_ += total * (weight_per_ball - 1);
-  return {b.row_mn, b.row_mx};
+  NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
+             "per-ball weight must be in [1, max_ball_weight]");
+  window_pass pass;
+  pass.counts = add.data();
+  pass.consumed = add.data();
+  pass.weight = static_cast<load_t>(weight_per_ball);
+  pass.row = row.data();
+  pass.off = off;
+  pass.off_base = off_base;
+  return commit_counts(pass, balls, isa, plan, on_accept);
 }
 
-void load_state::lease_push_counts(const std::vector<std::uint32_t>& add,
-                                   weight_t weight_per_ball) {
+void load_state::lease_push_counts(const std::uint32_t* add, weight_t weight_per_ball) {
   if (!lease_on_) return;
   // A merged window has no per-ball arrival order; record residents in
   // bin-index order.  That order is a pure function of the merged counts,
@@ -386,7 +498,7 @@ void load_state::lease_push_counts(const std::vector<std::uint32_t>& add,
   // that produced the window (the windowed engines' own determinism
   // contract) -- it just differs from the serial per-ball order, exactly
   // as the window's sampling already does.
-  for (std::size_t i = 0; i < add.size(); ++i) {
+  for (std::size_t i = 0; i < loads_.size(); ++i) {
     for (std::uint32_t k = 0; k < add[i]; ++k) {
       lease_push(static_cast<bin_index>(i), weight_per_ball);
     }

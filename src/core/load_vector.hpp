@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -171,12 +172,25 @@ class level_index {
 
   /// rebuild() for callers that already hold the loads' exact bounds
   /// [mn, mx] -- the window commits fold them into their update pass, so
-  /// the index costs one more pass over the loads, not two.  Most bins
-  /// sit on a handful of levels, so with one counter array consecutive
-  /// increments mostly hit the same counter and serialize on its store;
-  /// spans up to small_span_levels count into histogram_lanes
-  /// independent sub-histograms instead and sum them afterwards.
+  /// the index costs one more pass over the loads, not two.  Spans up to
+  /// small_span_levels count through count_levels; it is the one-range
+  /// case of the window commits' range-split rebuild.
   [[nodiscard]] bool rebuild(const std::vector<load_t>& loads, load_t mn, load_t mx);
+
+  /// The per-range half of a split rebuild: writes to out[v] how many of
+  /// x[0, size) sit on level mn + v, for v < levels (every x[i] must lie in
+  /// [mn, mn + levels), levels <= small_span_levels).  Most bins sit on a
+  /// handful of levels, so with one counter array consecutive increments
+  /// mostly hit the same counter and serialize on its store; this counts
+  /// into histogram_lanes independent sub-histograms and sums them.
+  static void count_levels(const load_t* x, std::size_t size, load_t mn, std::size_t levels,
+                           bin_count* out) noexcept;
+
+  /// The other half: resets the index to n bins with exact bounds
+  /// [mn, mx] and returns its zeroed per-level counts (mx - mn + 1 of
+  /// them, level mn first) for the caller to fill with every bin's level;
+  /// nullptr (index unusable) when the span exceeds max_dense_span.
+  [[nodiscard]] bin_count* rebuild_begin(bin_count n, load_t mn, load_t mx);
 
   [[nodiscard]] load_t min_level() const noexcept { return min_; }
   [[nodiscard]] load_t max_level() const noexcept { return max_; }
@@ -246,13 +260,11 @@ class compact_snapshot {
 
   /// In-pass rebuild, for a window commit that already walks the values:
   /// rewrite_begin(n) sizes the buffer for n offsets and returns it; the
-  /// caller writes byte i as uint8(v[i] - base()) for EVERY bin (base()
-  /// being whatever the snapshot held before, so bytes may wrap) and hands
-  /// v's exact bounds [mn, mx] to rewrite_end.  That leaves the snapshot
-  /// exactly as assign(v) would: the bytes are already right when the
-  /// base did not move, and one byte pass re-offsets them when it did
-  /// (mod-256 arithmetic, so in either direction).  rewrite_end returns
-  /// ok().
+  /// caller writes byte i as uint8(v[i] - mn) for EVERY bin and hands v's
+  /// exact bounds [mn, mx] to rewrite_end.  That leaves the snapshot
+  /// exactly as assign(v) would.  rewrite_end returns ok(); when it is
+  /// false (span over 255) the bytes need not be meaningful.
+  /// load_state::commit_window writes the bytes this way.
   std::uint8_t* rewrite_begin(std::size_t n);
   bool rewrite_end(load_t mn, load_t mx);
 
@@ -279,7 +291,62 @@ class compact_snapshot {
   bool ok_ = false;
 };
 
-/// Per-shard bin-increment accumulators for one parallel window.  Shard s
+/// A split of the bins [0, n) into contiguous ranges of 2^shift bins (the
+/// last one may be shorter): the unit a range-split window commit cuts its
+/// passes into.  Execution only -- every split commits the same state.
+struct bin_ranges {
+  /// log2 of the range width.  The default puts every bin_count in one
+  /// range.
+  unsigned shift = 32;
+
+  /// Ranges of at least 64 bins (whole cache lines of every per-bin
+  /// array), of the largest power-of-two width that still gives at least
+  /// `target` ranges where n allows it -- so between target and
+  /// 2 * target of them.
+  [[nodiscard]] static bin_ranges split(bin_count n, std::size_t target) noexcept;
+
+  [[nodiscard]] std::size_t count(bin_count n) const noexcept {
+    return static_cast<std::size_t>((std::uint64_t{n} + (std::uint64_t{1} << shift) - 1) >>
+                                    shift);
+  }
+  /// Range r covers [lo(r, n), hi(r, n)).
+  [[nodiscard]] bin_index lo(std::size_t r, bin_count n) const noexcept {
+    return static_cast<bin_index>(std::min<std::uint64_t>(std::uint64_t{r} << shift, n));
+  }
+  [[nodiscard]] bin_index hi(std::size_t r, bin_count n) const noexcept { return lo(r + 1, n); }
+  /// The range holding bin i.
+  [[nodiscard]] std::size_t of(bin_index i) const noexcept {
+    return static_cast<std::size_t>(std::uint64_t{i} >> shift);
+  }
+};
+
+/// How a window commit runs its passes over bins: cut at `ranges`, each
+/// pass a set of per-range tasks.  `run(count, task)` calls task(r) once
+/// for every r in [0, count) and returns after all of them finished.
+/// Distinct ranges touch disjoint bins, so `run` may execute them
+/// concurrently (the shard engine hands them to its pool); left empty,
+/// they run in range order on the calling thread.  The default plan is
+/// the serial one-range commit.  Execution only, like the commit's
+/// kernel_isa.
+struct commit_plan {
+  bin_ranges ranges;
+  std::function<void(std::size_t count, const std::function<void(std::size_t)>& task)> run;
+  /// When set, fill(r) runs first in range r's task of the validation
+  /// scan and writes the window's counts of that range; the shard engine
+  /// folds its shards' choices there, so the scan reads them from cache.
+  std::function<void(std::size_t r)> fill;
+
+  void for_each(std::size_t count, const std::function<void(std::size_t)>& task) const {
+    if (run) {
+      run(count, task);
+    } else {
+      for (std::size_t r = 0; r < count; ++r) task(r);
+    }
+  }
+};
+
+/// Per-shard bin-count accumulators for one shard-engine departure block
+/// (arrival windows partition choices by bin range instead).  Shard s
 /// writes only row s (rows are disjoint, so no synchronization), and
 /// sum_rows() folds the rows in fixed shard-index order -- the merged
 /// increments depend only on the shard count, never on which thread ran
@@ -288,7 +355,7 @@ class compact_snapshot {
 /// Rows are 16-bit to halve the clear + merge memory traffic (the dominant
 /// per-shard overhead at n = 10^6); a row counter is safe as long as one
 /// shard feeds at most max_row_count balls into one bin, which the engine
-/// guarantees by capping parallel windows at shards * max_row_count balls.
+/// guarantees by capping blocks at shards * max_row_count events.
 ///
 /// Rows are laid out with a padded, cache-line-aligned stride: row s
 /// starts at a row_align_bytes boundary and the stride rounds n up to a
@@ -477,9 +544,13 @@ class load_state {
   /// Every merged commit (the unsigned apply_increments, apply_releases,
   /// commit_window) updates the loads in one pass over bins compiled for
   /// the scalar, AVX2 and AVX-512 targets; `isa` picks the target and is
-  /// execution only, like the kernel's: the engines pass their own.
+  /// execution only, like the kernel's: the engines pass their own.  The
+  /// arrival commits (apply_increments, commit_window) also split every
+  /// pass over bins by `plan` -- the validation scan, the update pass and
+  /// the level histogram -- and reduce the per-range results in range
+  /// order on the calling thread; the default plan is one serial range.
   void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball,
-                        kernel_isa isa);
+                        kernel_isa isa, const commit_plan& plan = {});
 
   /// Signed generalization for churn windows: loads_[i] += delta[i]
   /// (weight units, may be negative) and balls_ += ball_delta, validated
@@ -502,31 +573,31 @@ class load_state {
   void apply_releases(const std::vector<std::uint32_t>& rel, weight_t weight_per_ball,
                       step_count k, kernel_isa isa);
 
-  /// The checks apply_increments(add, weight_per_ball, isa) runs before
-  /// any write (ball, total-weight and per-bin 32-bit ceilings), without
-  /// writing anything; returns sum(add).  For a caller that must update
-  /// its own state before a commit_window and only if the window will be
-  /// accepted.
-  step_count check_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball,
-                              kernel_isa isa) const;
-
   /// Exact bounds of a load row.
   struct row_bounds {
     load_t mn;
     load_t mx;
   };
 
-  /// apply_increments(add, weight_per_ball, isa) for a window of `balls`
-  /// balls (sum(add) must equal it) whose one pass also blends a caller
-  /// row and zeroes `add` for the engine's next window: row[i] becomes bin
-  /// i's new load when the window put a ball into it (add[i] != 0) and
-  /// keeps its value otherwise, and off[i] = uint8(row[i] - off_base)
-  /// (mod 256, see compact_snapshot::rewrite_begin).  Returns the blended
-  /// row's bounds.  Same validation before any write: a refused window
-  /// leaves the state, `row`, `off` and `add` unchanged.
+  /// apply_increments(add, weight_per_ball, isa, plan) for a window of
+  /// `balls` balls (sum(add) must equal it) whose update pass also blends
+  /// a caller row and zeroes `add` for the engine's next window: row[i]
+  /// becomes bin i's new load when the window put a ball into it
+  /// (add[i] != 0) and keeps its value otherwise.  The pass writes
+  /// off[i] = uint8(row[i] - off_base), and the level-histogram pass
+  /// re-offsets those bytes to the blended row's minimum, so on return
+  /// off[i] = uint8(row[i] - mn) for the returned bounds [mn, mx] (see
+  /// compact_snapshot::rewrite_begin; when mx - mn > 255 the bytes are
+  /// left as the pass wrote them).  Same validation before any write: a
+  /// refused window leaves the state, `row`, `off` and `add` unchanged.
+  /// `on_accept`, when set, runs on the calling thread once the window
+  /// passed validation and before anything is written -- for a caller
+  /// that must update its own state first, and only if the window will be
+  /// committed.
   row_bounds commit_window(std::vector<std::uint32_t>& add, weight_t weight_per_ball,
                            step_count balls, std::vector<load_t>& row, std::uint8_t* off,
-                           load_t off_base, kernel_isa isa);
+                           load_t off_base, kernel_isa isa, const commit_plan& plan = {},
+                           const std::function<void()>& on_accept = {});
 
   /// ------------------------------------------------------------------
   /// FIFO lease ring (the "lease" departure channel): while tracking is
@@ -644,9 +715,25 @@ class load_state {
     levels_ok_ = levels_.rebuild(loads_);
   }
 
+  /// One arrival commit's update pass (defined with the passes).
+  struct window_pass;
+
+  /// The range-split arrival commit behind apply_increments and
+  /// commit_window: validation scan, `on_accept`, lease push, update pass,
+  /// then the level histogram (and the byte re-offset of a blend).
+  /// `balls` < 0 accepts any count total.
+  row_bounds commit_counts(const window_pass& pass, step_count balls, kernel_isa isa,
+                           const commit_plan& plan, const std::function<void()>& on_accept);
+
+  /// The ceilings every arrival commit checks before any write (ball,
+  /// total-weight and per-bin 32-bit), given the count row's sum `total`
+  /// and largest entry `peak`.
+  void check_increments(const std::uint32_t* add, step_count total, std::uint32_t peak,
+                        weight_t weight_per_ball) const;
+
   /// Records a merged window's residents in the lease ring (no-op while
   /// tracking is off).
-  void lease_push_counts(const std::vector<std::uint32_t>& add, weight_t weight_per_ball);
+  void lease_push_counts(const std::uint32_t* add, weight_t weight_per_ball);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

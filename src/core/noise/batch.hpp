@@ -145,19 +145,20 @@ class b_batch {
   /// Applies a merged window delta (inc[i] balls into bin i, all decided
   /// against the current snapshot) and refreshes exactly like the serial
   /// path: at a batch boundary the touched bins are re-read from the true
-  /// loads, and the commit's one pass over bins (load_state::commit_window,
-  /// dispatched to `isa`) blends the window's bins into the stale row and
-  /// rewrites the compact snapshot; mid-batch (a partial window) they are
-  /// only recorded as touched so a later boundary refresh covers them, and
-  /// the snapshot stays as it is.  Each counted ball deposits the model's
-  /// (deterministic) weight; the engines never route random weightings
-  /// here.  Leaves `inc` zeroed; a refused window (contract_error) leaves
-  /// it and the process unchanged.
-  void commit_window(std::vector<std::uint32_t>& inc, step_count balls, kernel_isa isa) {
+  /// loads, and the commit's passes over bins (load_state::commit_window,
+  /// dispatched to `isa` and split by `plan`) blend the window's bins into
+  /// the stale row and rewrite the compact snapshot; mid-batch (a partial
+  /// window) they are only recorded as touched so a later boundary refresh
+  /// covers them, and the snapshot stays as it is.  Each counted ball
+  /// deposits the model's (deterministic) weight; the engines never route
+  /// random weightings here.  Leaves `inc` zeroed; a refused window
+  /// (contract_error) leaves it and the process unchanged.
+  void commit_window(std::vector<std::uint32_t>& inc, step_count balls, kernel_isa isa,
+                     const commit_plan& plan = {}) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
     const weight_t w = model_.weighting.fixed_weight();
     if (balls < snapshot_window()) {
-      state_.apply_increments(inc, w, isa);
+      state_.apply_increments(inc, w, isa, plan);
       const bin_count n = state_.n();
       for (bin_index i = 0; i < n; ++i) {
         if (inc[i] != 0) {
@@ -167,15 +168,14 @@ class b_batch {
       }
       return;
     }
-    // Bins touched earlier in the batch take their load before this
-    // window; validated first, so a refused window leaves stale_ as it was.
-    if (!touched_.empty()) {
-      state_.check_increments(inc, w, isa);
-      refresh_snapshot();
-    }
     const load_t base = snapshot_.base();
     std::uint8_t* off = snapshot_.rewrite_begin(stale_.size());
-    const auto [mn, mx] = state_.commit_window(inc, w, balls, stale_, off, base, isa);
+    // Bins touched earlier in the batch take their load before this
+    // window -- once the window passed validation, so a refused one
+    // leaves stale_ as it was.
+    const auto [mn, mx] = state_.commit_window(inc, w, balls, stale_, off, base, isa, plan, [this] {
+      if (!touched_.empty()) refresh_snapshot();
+    });
     snapshot_.rewrite_end(mn, mx);
     snapshot_fresh_ = true;
   }

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <array>
 #include <concepts>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -357,11 +358,11 @@ inline void advance(P& process, rng_t& rng, const traffic_spec& traffic) {
 // can expose such windows implements the window_parallel contract below;
 // shard_engine then splits each window into a *fixed* number of shards,
 // gives every shard its own derived RNG substream
-// (shard_stream_seed(window_token, s)), lets shards accumulate per-bin
-// increment counts in disjoint rows, and merges the rows in fixed shard
-// order.  Consequence: for one (seed, shard count) the result is
-// bit-identical for ANY thread count -- threads only execute shards, they
-// never influence sampling or merge order.  Relative to the serial bulk
+// (shard_stream_seed(window_token, s)), and commits the per-bin counts of
+// all shards' choices.  Per-bin counts are sums over the same multiset of
+// choices however they are grouped, so for one (seed, shard count) the
+// result is bit-identical for ANY thread count -- threads only execute
+// shards and bin ranges, they never influence sampling.  Relative to the serial bulk
 // path the parallel path draws different (but identically distributed)
 // randomness, so serial-vs-parallel agreement is distributional, not
 // bitwise; tests enforce both contracts.
@@ -393,19 +394,21 @@ concept window_probed = requires(const P p) {
 ///   * snapshot_decide(snap, i1, i2, rng): the decision rule over the
 ///     compact 8-bit snapshot -- must be a pure function of (snap[i1],
 ///     snap[i2], rng draws),
-///   * commit_window(inc, balls, isa): apply the merged per-bin increments
-///     and refresh whatever the process keeps stale, the snapshot
-///     included (inc[i] balls into bin i, sum(inc) == balls == the window
-///     length the engine ran); `isa` is the engine's execution-only
-///     target for the commit pass.  Leaves `inc` zeroed, so the engine
-///     reuses it for the next window without a clearing pass.
+///   * commit_window(inc, balls, isa, plan): apply the merged per-bin
+///     increments and refresh whatever the process keeps stale, the
+///     snapshot included (inc[i] balls into bin i, sum(inc) == balls ==
+///     the window length the engine ran); `isa` and `plan` (how the
+///     commit's passes over bins split into bin ranges and where those
+///     run) are the engine's and execution only.  Leaves `inc` zeroed, so
+///     the engine reuses it for the next window without a clearing pass.
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
     requires(P p, rng_t& g, const std::uint8_t* snap, bin_index i,
-             std::vector<std::uint32_t>& inc, step_count k, kernel_isa isa) {
+             std::vector<std::uint32_t>& inc, step_count k, kernel_isa isa,
+             const commit_plan& plan) {
       { p.window_snapshot() } -> std::convertible_to<const compact_snapshot&>;
       { P::snapshot_decide(snap, i, i, g) } -> std::convertible_to<bin_index>;
-      { p.commit_window(inc, k, isa) } -> std::same_as<void>;
+      { p.commit_window(inc, k, isa, plan) } -> std::same_as<void>;
     };
 
 /// Window-parallel process whose snapshot_decide is the canonical
@@ -413,8 +416,9 @@ concept window_parallel = allocation_process<P> && window_probed<P> &&
 /// by the next draw's top bit") -- declared by the process via
 /// `static constexpr bool kernel_min_select = true` and cross-checked
 /// against its snapshot_decide by the kernel test suite.  Only such
-/// processes may run through the lane-interleaved allocation kernel
-/// (core/kernel/); anything else keeps the generic snapshot_decide loop.
+/// processes run through the lane-interleaved allocation kernel
+/// (core/kernel/), which both engines' windows are built on; anything
+/// else takes the serial fused loop, with a one-time diagnostic.
 template <typename P>
 concept kernel_window_parallel = window_parallel<P> && requires {
   requires P::kernel_min_select;
@@ -551,9 +555,9 @@ struct shard_options {
   /// Fixed shard count per window.  Keep it >= the largest thread count
   /// you will run with; the default covers typical desktops/CI runners.
   std::size_t shards = 16;
-  /// Windows shorter than this run serially (shard + merge overhead would
-  /// dominate); the engine also requires window >= n/4 so the O(n) merge
-  /// amortizes.
+  /// Windows shorter than this run serially (the per-window task overhead
+  /// would dominate); the engine also requires window >= n/4 so the O(n)
+  /// commit amortizes.
   step_count min_window = 4096;
   /// Kernel lanes per shard.  Part of the sampling contract exactly like
   /// `shards`: lane seeds derive from the shard substream, so changing
@@ -566,9 +570,24 @@ struct shard_options {
 };
 
 /// The intra-run shard-parallel batch engine.  Owns the worker pool and
-/// the per-window scratch (shard delta rows, departure snapshot), so one
-/// engine instance amortizes both across all windows of a run -- create it
-/// once per run (or reuse across runs of the same configuration).
+/// the per-window scratch (the window's choice buffer and count row, the
+/// departure blocks' delta rows and snapshot), so one engine instance
+/// amortizes both across all windows of a run -- create it once per run
+/// (or reuse across runs of the same configuration).
+///
+/// An arrival window runs in parallel phases on the pool, the calling
+/// thread only reducing per-range results between them:
+///   1. shard s decides its share of the balls through the allocation
+///      kernel (kernel_emit, substream shard_stream_seed(token, s)) and
+///      counting-sorts each decided block by bin range into its own
+///      stretch of one window-sized choice buffer;
+///   2. the process commits the window with every pass over bins split
+///      over the same ranges (commit_plan).  Range task r first folds
+///      every shard's range-r segments into bins [lo, hi) of one uint32
+///      count row -- a slice small enough to stay in the worker's cache
+///      -- and then validates, applies and indexes that slice.
+/// No shard owns a row of n counters, so nothing is merged or cleared per
+/// shard: arrival scratch is O(window), not O(shards x n).
 class shard_engine {
  public:
   explicit shard_engine(shard_options opt = {})
@@ -583,9 +602,9 @@ class shard_engine {
     warn_if_oversubscribed(pool_.size(), "shard-engine threads_per_run");
   }
 
-  /// Deferred row clears may still be queued on the pool; they touch
-  /// deltas_, which is destroyed before pool_ (reverse declaration
-  /// order), so join them first.
+  /// A departure block's deferred row clears may still be queued on the
+  /// pool; they touch deltas_, which is destroyed before pool_ (reverse
+  /// declaration order), so join them first.
   ~shard_engine() { pool_.wait_idle(); }
 
   [[nodiscard]] const shard_options& options() const noexcept { return opt_; }
@@ -593,21 +612,22 @@ class shard_engine {
   /// The resolved kernel backend this engine's shards execute with.
   [[nodiscard]] kernel_isa isa() const noexcept { return isa_; }
 
-  /// Allocates `count` balls through `process`.  Window-parallel processes
-  /// run each sufficiently large stale-snapshot window across the pool;
-  /// everything else (and every undersized or saturated window) takes the
-  /// serial fused loop, drawing from `rng` exactly like nb::step_many.
+  /// Allocates `count` balls through `process`.  Min-select window-
+  /// parallel processes run each sufficiently large stale-snapshot window
+  /// across the pool; everything else (and every undersized or saturated
+  /// window) takes the serial fused loop, drawing from `rng` exactly like
+  /// nb::step_many.
   template <single_steppable P>
   void step_many(P& process, rng_t& rng, step_count count) {
     NB_ASSERT(count >= 0);
-    if constexpr (!window_parallel<P>) {
+    if constexpr (!kernel_window_parallel<P>) {
       // The caller asked for intra-run parallelism (threads_per_run) but
-      // this process exposes no parallel snapshot windows -- the request
+      // this process exposes no min-select snapshot windows -- the request
       // is accepted but has no effect, which has historically been a
       // silent trap.  Say so, once per process kind.
       warn_once("shard-engine/" + process.name(),
                 "threads_per_run has no effect on process '" + process.name() +
-                    "': it exposes no parallel snapshot windows (window_parallel); "
+                    "': it exposes no min-select snapshot windows (kernel_min_select); "
                     "running the serial fused loop instead");
       nb::step_many(process, rng, count);
     } else {
@@ -615,10 +635,11 @@ class shard_engine {
                                                    "threads_per_run")) {
         return;
       }
-      // Cap parallel windows so even a shard that routed every one of its
-      // balls into a single bin cannot overflow a 16-bit delta row; the
-      // cap splits oversized windows deterministically (it depends only
-      // on the shard count, never on threads).
+      // The window cap is part of the sampling contract: it splits
+      // oversized windows deterministically (it depends only on the shard
+      // count, never on threads).  It dates from 16-bit per-shard count
+      // rows, which arrival windows no longer use, and stays so that no
+      // window is re-cut.
       const step_count cap =
           static_cast<step_count>(opt_.shards) * shard_deltas::max_row_count;
       engine_detail::walk_windows(
@@ -779,17 +800,9 @@ class shard_engine {
     return true;
   }
 
-  /// Per-shard scratch that outlives one window: the generic (non-kernel)
-  /// decide loop's index block.  Engine-owned and cache-line-aligned so a
-  /// shard task allocates nothing per window and two shards' scratch
-  /// never false-shares; 16 KiB per shard keeps each block L1-resident.
-  static constexpr std::size_t kGenericBlock = 2048;
-  struct alignas(64) shard_arena {
-    std::array<bin_index, 2 * kGenericBlock> idx;
-  };
-
-  /// One parallel window of `k` balls, all decided against `snapshot`.
-  template <window_parallel P>
+  /// One arrival window of `k` balls, all decided against `snapshot` (see
+  /// the class comment for its phases).
+  template <kernel_window_parallel P>
   void run_window(P& process, rng_t& rng, step_count k, const compact_snapshot& snapshot) {
     const bin_count n = process.state().n();
     const std::size_t shards = opt_.shards;
@@ -801,70 +814,69 @@ class shard_engine {
     if constexpr (modeled_process<P>) {
       if (!process.model().sampler.is_uniform()) table = &process.model().sampler.table();
     }
-    // The previous window's deferred row clears may still be running on
-    // the pool; everything below touches the delta rows, so drain first.
-    drain_deferred_clears();
-    if (deltas_.shards() != shards || deltas_.bins() != n) {
-      deltas_.reset(shards, n);
-      rows_clean_ = true;
-    }
-    if (arenas_.size() != shards) arenas_ = std::vector<shard_arena>(shards);
+    // At least as many ranges as shards: enough tasks per pass to balance
+    // any thread count the shard count is meant for.
+    const bin_ranges ranges = bin_ranges::split(n, shards);
+    const std::size_t range_count = ranges.count(n);
+    if (choices_.size() < static_cast<std::size_t>(k)) choices_.resize(static_cast<std::size_t>(k));
+    if (parts_.size() != shards) parts_ = std::vector<shard_part>(shards);
+    // commit_window hands the row back zeroed; only a first window, a new
+    // n or a refused commit needs the clear.
+    if (!inc_clean_ || inc_.size() != n) inc_.assign(n, 0);
+    inc_clean_ = false;
     // One draw from the master stream per window; every shard substream
     // derives from this token, so shard results cannot depend on threads.
     const std::uint64_t window_token = rng.next();
     const std::uint8_t* snap = snapshot.data();
-    // rows_clean_: the previous window's clears already zeroed every row
-    // (the steady state), so shard tasks skip the redundant re-clear; the
-    // first window after a geometry change is clean via reset().
-    const bool clean = rows_clean_;
+    std::uint32_t start = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       const step_count shard_balls =
           k / static_cast<step_count>(shards) +
           (static_cast<step_count>(s) < k % static_cast<step_count>(shards) ? 1 : 0);
-      std::uint16_t* row = deltas_.row(s);
-      if (shard_balls == 0) {
-        // Ball-less shard (k < shards): its row still feeds the merge, so
-        // make sure no counts linger from the previous window.
-        if (!clean) deltas_.clear_row(s);
-        continue;
-      }
-      pool_.submit([n, snap, row, shard_balls, clean,
-                    seed = shard_stream_seed(window_token, s), lanes = opt_.lanes, isa = isa_,
-                    table, arena = &arenas_[s]] {
-        if (!clean) std::fill_n(row, n, std::uint16_t{0});
-        run_shard<P>(n, snap, row, shard_balls, seed, lanes, isa, table, arena->idx.data());
+      shard_part& part = parts_[s];
+      part.segments.clear();
+      if (shard_balls == 0) continue;
+      pool_.submit([this, n, snap, table, ranges, range_count, &part, start, shard_balls,
+                    seed = shard_stream_seed(window_token, s)] {
+        std::uint32_t pos = start;
+        const kernel_sink sink = [&](const std::uint32_t* chosen, std::size_t count) {
+          part.partition(ranges.shift, range_count, chosen, count, choices_.data(), pos);
+          pos += static_cast<std::uint32_t>(count);
+        };
+        if (table != nullptr) {
+          kernel_emit_alias(isa_, opt_.lanes, n, snap, table->thresholds(), table->aliases(),
+                            shard_balls, seed, sink);
+        } else {
+          kernel_emit(isa_, opt_.lanes, n, snap, shard_balls, seed, sink);
+        }
       });
+      start += static_cast<std::uint32_t>(shard_balls);
     }
     pool_.wait_idle();
-    rows_clean_ = false;
-    // Merge: fixed shard order per bin, bin ranges summed concurrently
-    // (disjoint, so still deterministic).
-    merged_.resize(n);
-    const auto chunk = static_cast<bin_count>((n + shards - 1) / shards);
-    for (bin_index lo = 0; lo < n; lo += chunk) {
-      const bin_index hi = lo + chunk < n ? lo + chunk : n;
-      pool_.submit([this, lo, hi] { deltas_.sum_rows(merged_, lo, hi); });
-    }
-    pool_.wait_idle();
-    // Overlap the next window's row clears (pool) with this window's
-    // commit (master thread): the clears touch only the delta rows, the
-    // commit only merged_ + the process state, so the two are disjoint.
-    // At n = 10^6 and 16 shards the clears are ~32 MB of stores per
-    // window -- off the serial path entirely in the steady state.
-    for (std::size_t s = 0; s < shards; ++s) {
-      pool_.submit([this, s] { deltas_.clear_row(s); });
-    }
-    clears_pending_ = true;
-    // The commit hands merged_ back zeroed, which this engine does not
-    // need (sum_rows overwrites it); the stores ride in the commit's own
-    // pass, and at n = 10^6 their cost (under 0.2 ms of a ~2 ms commit)
-    // did not separate from run-to-run noise.
-    process.commit_window(merged_, k, isa_);
+    commit_plan plan;
+    plan.ranges = ranges;
+    plan.run = [this](std::size_t count, const std::function<void(std::size_t)>& task) {
+      pool_.for_each_index(count, task);
+    };
+    // Range r's counts: every shard's range-r segments, folded into bins
+    // [lo, hi) of inc_ -- a slice that stays in the worker's cache.
+    plan.fill = [this, range_count](std::size_t r) {
+      std::uint32_t* inc = inc_.data();
+      const std::uint32_t* choices = choices_.data();
+      for (const shard_part& part : parts_) {
+        const std::vector<std::uint32_t>& seg = part.segments;
+        for (std::size_t j = r; j + 1 < seg.size(); j += range_count + 1) {
+          for (std::uint32_t e = seg[j], end = seg[j + 1]; e < end; ++e) ++inc[choices[e]];
+        }
+      }
+    };
+    process.commit_window(inc_, k, isa_, plan);
+    inc_clean_ = true;
   }
 
-  /// Joins the deferred row clears of the previous window (no-op in the
-  /// common case where the pool already drained them while the master
-  /// thread was busy committing).
+  /// Joins the deferred row clears of the previous departure block (no-op
+  /// in the common case where the pool already drained them while the
+  /// master thread was busy committing).
   void drain_deferred_clears() {
     if (!clears_pending_) return;
     pool_.wait_idle();
@@ -872,58 +884,61 @@ class shard_engine {
     rows_clean_ = true;
   }
 
-  /// Shard body.  Min-select processes run the lane-interleaved SIMD
-  /// kernel (vectorized block RNG + branchless snapshot decide, see
-  /// core/kernel/); non-uniform samplers take the kernel's alias lane
-  /// path.  Lane seeds derive from this shard's substream, so the
-  /// sampling contract stays (seed, shards, lanes) and never sees threads
-  /// or the ISA backend.  Processes with a bespoke snapshot_decide keep
-  /// the generic block-sampled loop (uniform Lemire blocks or alias
-  /// blocks, per the model) over `idx_block`, this shard's arena scratch
-  /// (2 * kGenericBlock entries).
-  template <window_parallel P>
-  static void run_shard(bin_count n, const std::uint8_t* snap, std::uint16_t* row,
-                        step_count shard_balls, std::uint64_t seed, std::size_t lanes,
-                        kernel_isa isa, const alias_table* table, bin_index* idx_block) {
-    if constexpr (kernel_window_parallel<P>) {
-      if (table != nullptr) {
-        kernel_run_alias(isa, lanes, n, snap, table->thresholds(), table->aliases(), row,
-                         shard_balls, seed);
-      } else {
-        kernel_run(isa, lanes, n, snap, row, shard_balls, seed);
+  /// One shard's share of an arrival window's choice buffer, written by
+  /// that shard's task alone (cache-line aligned, so two shards'
+  /// bookkeeping never false-shares).
+  struct alignas(64) shard_part {
+    /// Per decided block, range_count + 1 offsets into the choice buffer:
+    /// the block's range-r choices sit at [segments[j + r],
+    /// segments[j + r + 1]) for the block starting at entry j.  Offsets
+    /// fit 32 bits: no window exceeds max_run_balls.
+    std::vector<std::uint32_t> segments;
+    /// Per-range write cursors of the block being partitioned.
+    std::vector<std::uint32_t> cursor;
+
+    /// Counting-sorts one decided block by bin range (bin >> shift) into
+    /// out[pos, pos + count) and records its segments.
+    void partition(unsigned shift, std::size_t range_count, const std::uint32_t* chosen,
+                   std::size_t count, std::uint32_t* __restrict out, std::uint32_t pos) {
+      cursor.assign(range_count, 0);
+      std::uint32_t* __restrict cur = cursor.data();
+      for (std::size_t i = 0; i < count; ++i) ++cur[chosen[i] >> shift];
+      const std::size_t first = segments.size();
+      segments.resize(first + range_count + 1);
+      std::uint32_t* seg = segments.data() + first;
+      for (std::size_t r = 0; r < range_count; ++r) {
+        seg[r] = pos;
+        const std::uint32_t in_range = cur[r];
+        cur[r] = pos;
+        pos += in_range;
       }
-    } else {
-      rng_t srng(seed);
-      while (shard_balls > 0) {
-        const std::size_t chunk = shard_balls < static_cast<step_count>(kGenericBlock)
-                                      ? static_cast<std::size_t>(shard_balls)
-                                      : kGenericBlock;
-        if (table != nullptr) {
-          table->sample_block(srng, idx_block, 2 * chunk);
-        } else {
-          bounded_block(srng, n, idx_block, 2 * chunk);
-        }
-        for (std::size_t t = 0; t < chunk; ++t) {
-          const bin_index chosen =
-              P::snapshot_decide(snap, idx_block[2 * t], idx_block[2 * t + 1], srng);
-          ++row[chosen];
-        }
-        shard_balls -= static_cast<step_count>(chunk);
+      seg[range_count] = pos;
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::uint32_t c = chosen[i];
+        out[cur[c >> shift]++] = c;
       }
     }
-  }
+  };
 
   shard_options opt_;
   kernel_isa isa_;
   thread_pool pool_;
+  /// Arrival windows: every shard's choices, range-partitioned per block;
+  /// each shard's partition bookkeeping; the window's count row.
+  std::vector<std::uint32_t> choices_;
+  std::vector<shard_part> parts_;
+  std::vector<std::uint32_t> inc_;
+  /// inc_ is all zero (the last commit_window returned normally).
+  bool inc_clean_ = false;
   /// Departure blocks' snapshot of the live loads (arrival windows read
-  /// the process's own window snapshot).
+  /// the process's own window snapshot), per-shard delta rows and their
+  /// merge.
   compact_snapshot snapshot_;
   shard_deltas deltas_;
-  std::vector<shard_arena> arenas_;
   std::vector<std::uint32_t> merged_;
-  /// Deferred-clear state: true while the previous window's row-clear
-  /// tasks may still be on the pool / once they finished, respectively.
+  /// Deferred-clear state: true while the previous departure block's
+  /// row-clear tasks may still be on the pool / once they finished,
+  /// respectively.
   bool clears_pending_ = false;
   bool rows_clean_ = false;
 };

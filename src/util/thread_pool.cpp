@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.hpp"
 
@@ -37,6 +38,18 @@ void thread_pool::submit(std::function<void()> task) {
 void thread_pool::wait_idle() {
   std::unique_lock lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
+}
+
+void thread_pool::for_each_index(std::size_t count,
+                                 const std::function<void(std::size_t)>& task) {
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::min(size(), count);
+  for (std::size_t w = 0; w < workers; ++w) {
+    submit([&next, &task, count] {
+      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) task(i);
+    });
+  }
+  wait_idle();
 }
 
 void thread_pool::worker_loop() {

@@ -41,6 +41,13 @@ class thread_pool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
+  /// Runs task(i) for every i in [0, count) on the workers and returns
+  /// once all of them (and every task queued before) finished: one task
+  /// per worker, at most `count`, each claiming the next unclaimed index
+  /// until none is left.  For a few dozen coarse tasks per call, where a
+  /// submit per index would cost more than it balances.
+  void for_each_index(std::size_t count, const std::function<void(std::size_t)>& task);
+
  private:
   void worker_loop();
 

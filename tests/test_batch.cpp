@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -367,6 +369,193 @@ TEST(BBatch, ProcessSnapshotStaysCoherent) {
               static_cast<unsigned long long>(master), moved_down, saturated);
   EXPECT_GT(moved_down, 0) << "no engine window moved the snapshot base down";
   EXPECT_GT(saturated, 0) << "no engine window left a span past 255";
+}
+
+/// A commit plan over ranges of 2^shift bins.  With a pool, one task per
+/// worker claims ranges until none is left (the shard engine's schedule);
+/// without one, the ranges run serially in reverse order -- any order
+/// must commit the same state.
+commit_plan ranged_plan(unsigned shift, thread_pool* pool) {
+  commit_plan plan;
+  plan.ranges.shift = shift;
+  plan.run = [pool](std::size_t count, const std::function<void(std::size_t)>& task) {
+    if (pool != nullptr) {
+      pool->for_each_index(count, task);
+    } else {
+      for (std::size_t r = count; r-- > 0;) task(r);
+    }
+  };
+  return plan;
+}
+
+/// Range shifts to test at n bins: every width up to one range for small
+/// n (range counts 1, 2, 3, ..., n); for large n one range per bin, the
+/// engine's split for 3 and for 16 targets, two ranges and one.
+std::vector<unsigned> range_shifts(bin_count n) {
+  const auto whole = static_cast<unsigned>(std::bit_width(n));
+  std::vector<unsigned> shifts;
+  if (n <= 64) {
+    for (unsigned s = 0; s <= whole; ++s) shifts.push_back(s);
+  } else {
+    shifts = {0, bin_ranges::split(n, 3).shift, bin_ranges::split(n, 16).shift, whole - 1, 32};
+  }
+  return shifts;
+}
+
+/// Everything a commit may change: the checkpoint bytes (loads, totals,
+/// stale row, touched list), the level index and the window snapshot.
+::testing::AssertionResult same_commit_state(b_batch& got, b_batch& want) {
+  state_writer wg;
+  state_writer ww;
+  got.save_checkpoint(wg);
+  want.save_checkpoint(ww);
+  if (wg.bytes() != ww.bytes()) return ::testing::AssertionFailure() << "checkpoint bytes differ";
+  const load_state& a = got.state();
+  const load_state& b = want.state();
+  if (a.levels_valid() != b.levels_valid()) {
+    return ::testing::AssertionFailure() << "levels_valid " << a.levels_valid();
+  }
+  if (a.levels_valid()) {
+    const level_index& la = a.levels();
+    const level_index& lb = b.levels();
+    if (la.min_level() != lb.min_level() || la.max_level() != lb.max_level()) {
+      return ::testing::AssertionFailure() << "level bounds [" << la.min_level() << ", "
+                                           << la.max_level() << "], want [" << lb.min_level()
+                                           << ", " << lb.max_level() << "]";
+    }
+    for (load_t l = lb.min_level(); l <= lb.max_level(); ++l) {
+      if (la.count_at(l) != lb.count_at(l)) {
+        return ::testing::AssertionFailure() << "level " << l << " count " << la.count_at(l)
+                                             << ", want " << lb.count_at(l);
+      }
+    }
+  }
+  const compact_snapshot& sa = got.window_snapshot();
+  const compact_snapshot& sb = want.window_snapshot();
+  if (sa.ok() != sb.ok() || sa.base() != sb.base()) {
+    return ::testing::AssertionFailure() << "snapshot ok/base " << sa.ok() << "/" << sa.base()
+                                         << ", want " << sb.ok() << "/" << sb.base();
+  }
+  if (sb.ok() && (sa.max_off() != sb.max_off() ||
+                  !std::equal(sb.data(), sb.data() + sb.size() + compact_snapshot::tail_padding,
+                              sa.data()))) {
+    return ::testing::AssertionFailure() << "snapshot span or bytes differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BBatch, RangeSplitCommitMatchesOneRangeCommit) {
+  // The same windows committed through range-split plans (every range
+  // count from one per bin to one, on a pool and serially in reverse) and
+  // through the default one-range commit must leave bit-identical loads,
+  // stale row, snapshot bytes, base, span and level index, on every ISA.
+  // The traffic mixes partial windows, boundary windows and departures
+  // between them; weight 128 pushes spans past 255, and departures move
+  // the snapshot base down.
+  thread_pool pool(3);
+  int moved_down = 0;
+  int saturated = 0;
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    for (const bin_count n : {1u, 7u, 17u, 100003u}) {
+      for (const weight_t w : {weight_t{1}, weight_t{3}, weight_t{128}}) {
+        // One-per-bin ranges at large n are slow and, with wide spans,
+        // would need huge per-range sub-histograms; unit weights cover it.
+        if (n > 64 && w != 1) continue;
+        const step_count b = 2 * static_cast<step_count>(n) + 1;
+        alloc_model model;
+        if (w > 1) model.weighting = ball_weighting::fixed(w);
+        model.departures = departure_model::random();
+        for (const unsigned shift : range_shifts(n)) {
+          for (thread_pool* runner : {&pool, static_cast<thread_pool*>(nullptr)}) {
+            if (n > 64 && runner == nullptr) continue;
+            SCOPED_TRACE(pass_trace(isa, n) + ", weight " + std::to_string(w) + ", shift " +
+                         std::to_string(shift) + (runner != nullptr ? ", pool" : ", serial"));
+            const commit_plan plan = ranged_plan(shift, runner);
+            b_batch want(n, b);
+            want.set_model(model);
+            b_batch got = want;
+            rng_t traffic(derive_seed(n, static_cast<std::uint64_t>(w)));
+            rng_t depart_want(7);
+            rng_t depart_got(7);
+            const auto commit = [&](step_count balls) {
+              std::vector<std::uint32_t> inc_want = window_counts(n, balls, 0, n, traffic);
+              std::vector<std::uint32_t> inc_got = inc_want;
+              want.commit_window(inc_want, balls, isa);
+              got.commit_window(inc_got, balls, isa, plan);
+              EXPECT_EQ(inc_got, std::vector<std::uint32_t>(n, 0));
+              EXPECT_TRUE(same_commit_state(got, want));
+              EXPECT_TRUE(snapshot_is_coherent(got));
+            };
+            const int batches = n > 64 ? 3 : 8;
+            for (int batch = 0; batch < batches && !HasFailure(); ++batch) {
+              // A partial window on a random share of the batch, a few
+              // departures (which move the boundary), then the window
+              // that ends the batch.
+              const step_count window = want.snapshot_window();
+              if (window > 1) commit(static_cast<step_count>(bounded(traffic, window - 1)) + 1);
+              const auto departures = static_cast<int>(
+                  bounded(traffic, static_cast<std::uint64_t>(want.state().balls()) + 1));
+              for (int d = 0; d < departures; ++d) {
+                want.depart(depart_want);
+                got.depart(depart_got);
+              }
+              const load_t base_before = want.window_snapshot().base();
+              commit(want.snapshot_window());
+              if (got.window_snapshot().base() < base_before) ++moved_down;
+              if (!got.window_snapshot().ok()) ++saturated;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("BBatch.RangeSplitCommitMatchesOneRangeCommit: base moved down %d, span past "
+              "255 %d\n",
+              moved_down, saturated);
+  EXPECT_GT(moved_down, 0) << "no boundary commit moved the snapshot base down";
+  EXPECT_GT(saturated, 0) << "no boundary commit left a span past 255";
+}
+
+TEST(BBatch, RefusedRangeSplitCommitChangesNothing) {
+  // A boundary window refused on the range-split path -- by the ball
+  // ceiling, by one bin's 32-bit load, or by counts not summing to the
+  // window -- must leave the process (stale row and touched list
+  // included) and the count row exactly as they were, whichever range
+  // and ISA would have refused it.  Each case breaks only its own check.
+  thread_pool pool(3);
+  const auto huge = static_cast<std::uint32_t>(20'000'000);  // * 128 passes int32
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    for (const bin_count n : {1u, 7u, 17u, 100003u}) {
+      const auto bins = static_cast<step_count>(n);
+      for (int c = 0; c < 3; ++c) {
+        const step_count window = c == 0 ? max_run_balls + 1 : c == 1 ? huge : bins;
+        b_batch p(n, bins + window);
+        alloc_model model;
+        model.weighting = ball_weighting::fixed(128);
+        p.set_model(model);
+        rng_t rng(n);
+        std::vector<std::uint32_t> partial = window_counts(n, bins, 0, n, rng);
+        p.commit_window(partial, bins, isa);  // leaves touched bins behind
+        ASSERT_EQ(p.snapshot_window(), window);
+        std::vector<std::uint32_t> refused(n, 0);
+        if (c == 2) {
+          refused = window_counts(n, window - 1, 0, n, rng);
+        } else {
+          refused[n / 2] = static_cast<std::uint32_t>(window);
+        }
+        for (const unsigned shift : range_shifts(n)) {
+          SCOPED_TRACE(pass_trace(isa, n) + ", case " + std::to_string(c) + ", shift " +
+                       std::to_string(shift));
+          std::vector<std::uint32_t> inc = refused;
+          b_batch before = p;
+          EXPECT_THROW(p.commit_window(inc, window, isa, ranged_plan(shift, &pool)),
+                       contract_error);
+          EXPECT_EQ(inc, refused);
+          ASSERT_TRUE(same_commit_state(p, before));
+        }
+      }
+    }
+  }
 }
 
 TEST(BBatch, NameEncodesBatchSize) { EXPECT_EQ(b_batch(8, 3).name(), "b-batch[b=3]"); }

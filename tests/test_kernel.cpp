@@ -255,32 +255,75 @@ TEST(KernelAlias, ScalarMatchesDocumentedAliasDrawOrder) {
             expected);
 }
 
-TEST(KernelAlias, UInt16AndUInt32RowsAgree) {
-  const bin_count n = 53;
-  const auto snap = make_snapshot(n);
-  std::vector<double> weights(n);
-  for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
-  const alias_table table(weights);
-  for (const kernel_isa isa : supported_isas()) {
-    std::vector<std::uint16_t> row16(n, 0);
-    kernel_run_alias(isa, 8, n, snap.data(), table.thresholds(), table.aliases(), row16.data(),
-                     9999, 5);
-    const auto row32 = kernel_alias_counts(isa, 8, n, snap, table, 9999, 5);
-    for (bin_index i = 0; i < n; ++i) {
-      EXPECT_EQ(row16[i], row32[i]) << kernel_isa_name(isa) << " bin " << i;
+/// Runs kernel_emit (table == nullptr) or kernel_emit_alias and returns
+/// the emitted bins in order, checking every block is in [1, 8192] balls.
+std::vector<std::uint32_t> emitted(kernel_isa isa, std::size_t lanes, bin_count n,
+                                   const std::vector<std::uint8_t>& snap,
+                                   const alias_table* table, step_count balls,
+                                   std::uint64_t seed) {
+  std::vector<std::uint32_t> out;
+  const kernel_sink sink = [&out](const std::uint32_t* chosen, std::size_t count) {
+    EXPECT_GE(count, 1u);
+    EXPECT_LE(count, 8192u);
+    out.insert(out.end(), chosen, chosen + count);
+  };
+  if (table != nullptr) {
+    kernel_emit_alias(isa, lanes, n, snap.data(), table->thresholds(), table->aliases(), balls,
+                      seed, sink);
+  } else {
+    kernel_emit(isa, lanes, n, snap.data(), balls, seed, sink);
+  }
+  return out;
+}
+
+TEST(Kernel, EmittedChoicesFoldToRunCounts) {
+  // The shard engine range-partitions emitted choices instead of folding
+  // rows: on every backend, the emitted sequence must be the same, hold
+  // one in-range bin per ball, and fold to kernel_run's counts exactly
+  // (multi-block runs and a mid-round tail included).
+  for (const bin_count n : {53u, 4096u}) {
+    const auto snap = make_snapshot(n);
+    for (const std::size_t lanes : {std::size_t{3}, std::size_t{8}}) {
+      const step_count balls = 20001;
+      const auto reference = emitted(kernel_isa::scalar, lanes, n, snap, nullptr, balls, 5);
+      ASSERT_EQ(reference.size(), static_cast<std::size_t>(balls));
+      for (const kernel_isa isa : supported_isas()) {
+        const auto got = emitted(isa, lanes, n, snap, nullptr, balls, 5);
+        EXPECT_EQ(got, reference) << kernel_isa_name(isa) << " n " << n << " lanes " << lanes;
+        std::vector<std::uint32_t> folded(n, 0);
+        for (const std::uint32_t c : got) {
+          ASSERT_LT(c, n);
+          ++folded[c];
+        }
+        EXPECT_EQ(folded, kernel_counts(isa, lanes, n, snap, balls, 5))
+            << kernel_isa_name(isa) << " n " << n << " lanes " << lanes;
+      }
     }
   }
 }
 
-TEST(Kernel, UInt16AndUInt32RowsAgree) {
-  const bin_count n = 53;
-  const auto snap = make_snapshot(n);
-  for (const kernel_isa isa : supported_isas()) {
-    std::vector<std::uint16_t> row16(n, 0);
-    kernel_run(isa, 8, n, snap.data(), row16.data(), 9999, 5);
-    const auto row32 = kernel_counts(isa, 8, n, snap, 9999, 5);
-    for (bin_index i = 0; i < n; ++i) {
-      EXPECT_EQ(row16[i], row32[i]) << kernel_isa_name(isa) << " bin " << i;
+TEST(KernelAlias, EmittedChoicesFoldToRunCounts) {
+  // The alias lane path's counterpart of the test above.
+  for (const bin_count n : {53u, 4096u}) {
+    const auto snap = make_snapshot(n);
+    std::vector<double> weights(n);
+    for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
+    const alias_table table(weights);
+    for (const std::size_t lanes : {std::size_t{3}, std::size_t{8}}) {
+      const step_count balls = 20001;
+      const auto reference = emitted(kernel_isa::scalar, lanes, n, snap, &table, balls, 5);
+      ASSERT_EQ(reference.size(), static_cast<std::size_t>(balls));
+      for (const kernel_isa isa : supported_isas()) {
+        const auto got = emitted(isa, lanes, n, snap, &table, balls, 5);
+        EXPECT_EQ(got, reference) << kernel_isa_name(isa) << " n " << n << " lanes " << lanes;
+        std::vector<std::uint32_t> folded(n, 0);
+        for (const std::uint32_t c : got) {
+          ASSERT_LT(c, n);
+          ++folded[c];
+        }
+        EXPECT_EQ(folded, kernel_alias_counts(isa, lanes, n, snap, table, balls, 5))
+            << kernel_isa_name(isa) << " n " << n << " lanes " << lanes;
+      }
     }
   }
 }

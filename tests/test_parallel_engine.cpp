@@ -237,6 +237,32 @@ TEST(ShardEngine, WindowlessProcessesFallBackToSerialExactly) {
   EXPECT_EQ(tc_par.state().loads(), tc_ser.state().loads());
 }
 
+/// b-Batch's windows without its kernel_min_select declaration: still
+/// window_parallel, but not a min-select process the kernel may run.
+struct undeclared_min_select : b_batch {
+  using b_batch::b_batch;
+  static constexpr bool kernel_min_select = false;
+  [[nodiscard]] std::string name() const { return "undeclared-" + b_batch::name(); }
+};
+static_assert(window_parallel<undeclared_min_select>);
+static_assert(!kernel_window_parallel<undeclared_min_select>);
+
+TEST(ShardEngine, NonMinSelectWindowsFallBackToSerialExactly) {
+  // Shards only run the allocation kernel, so a window-parallel process
+  // that does not declare the min-select rule takes the serial fused loop,
+  // bit for bit, and the engine says so once.
+  undeclared_min_select parallel(64, 64);
+  undeclared_min_select serial(64, 64);
+  rng_t rng_a(41);
+  rng_t rng_b(41);
+  shard_engine engine(shard_options{.threads = 2, .shards = 4, .min_window = 1});
+  engine.step_many(parallel, rng_a, 1000);
+  step_many(serial, rng_b, 1000);
+  EXPECT_EQ(parallel.state().loads(), serial.state().loads());
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+  EXPECT_TRUE(warned("shard-engine/" + parallel.name()));
+}
+
 TEST(ShardEngine, TypeErasedRouteMatchesTemplateRoute) {
   // The engine's any_process overload must cross the erasure into the
   // same code path as the concrete type: identical seeds, options and
@@ -254,6 +280,61 @@ TEST(ShardEngine, TypeErasedRouteMatchesTemplateRoute) {
   EXPECT_EQ(direct.state().loads(), erased.state().loads());
   EXPECT_EQ(rng_a.next(), rng_b.next());
   EXPECT_FALSE(warned("shard-engine/" + erased.name()));
+}
+
+TEST(ShardEngine, GoldenLoadsDigest) {
+  // Frozen FNV-1a folds of the loads and the reported (stale) loads after
+  // m balls through the 16-shard, 8-lane engine.  They pin the engine's
+  // sampling contract -- (seed, shards, lanes), never the thread count --
+  // across uniform and alias sampling, unit and fixed weights, partial
+  // windows, serial fallbacks and the 16 x 65535 window cap's split (the
+  // last case runs one 1,100,000-ball batch, which the cap cuts in two).
+  struct golden_case {
+    bin_count n;
+    step_count b;
+    step_count m;
+    const char* weighting;
+    const char* sampler;
+    std::uint64_t digest;
+  };
+  const golden_case cases[] = {
+      {4096, 4096, 8 * 4096 + 3000, "unit", "uniform", 5635454278310277183ULL},
+      {4096, 4096, 8 * 4096 + 3000, "unit", "zipf:1", 13138880353525883105ULL},
+      {4096, 4096, 8 * 4096 + 3000, "fixed:3", "uniform", 11434462944784137639ULL},
+      {4096, 4096, 8 * 4096 + 3000, "fixed:3", "zipf:1", 6403861178206644545ULL},
+      {100003, 100003, 3 * 100003 + 50001, "unit", "uniform", 15914058815598423464ULL},
+      {100003, 100003, 3 * 100003 + 50001, "unit", "zipf:1", 15990273659766248662ULL},
+      {100003, 100003, 3 * 100003 + 50001, "fixed:3", "uniform", 13500751621996435446ULL},
+      {100003, 100003, 3 * 100003 + 50001, "fixed:3", "zipf:1", 4837990619620136376ULL},
+      {4096, 1'100'000, 1'200'000, "unit", "uniform", 430614522193608601ULL},
+  };
+  // Every backend at 3 threads, plus one 1-thread engine: none may move
+  // a digest.
+  std::vector<shard_options> engines;
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    engines.push_back(shard_options{.threads = 3, .shards = 16, .lanes = 8, .isa = isa});
+  }
+  engines.push_back(shard_options{.threads = 1, .shards = 16, .lanes = 8});
+  for (const shard_options& opt : engines) {
+    shard_engine engine(opt);
+    for (const golden_case& c : cases) {
+      b_batch process(c.n, c.b);
+      process.set_model(make_model(c.weighting, c.sampler, c.n));
+      rng_t rng(20260);
+      engine.step_many(process, rng, c.m);
+      std::uint64_t fnv = 0xCBF29CE484222325ULL;
+      const auto fold = [&fnv](load_t x) {
+        fnv ^= static_cast<std::uint32_t>(x);
+        fnv *= 0x100000001B3ULL;
+      };
+      for (bin_index i = 0; i < c.n; ++i) fold(process.state().load(i));
+      for (bin_index i = 0; i < c.n; ++i) fold(process.reported_load(i));
+      EXPECT_EQ(process.state().balls(), c.m);
+      EXPECT_EQ(fnv, c.digest) << kernel_isa_name(engine.isa()) << " threads "
+                               << engine.threads() << " n " << c.n << " b " << c.b << " "
+                               << c.weighting << "/" << c.sampler;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

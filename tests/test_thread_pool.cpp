@@ -69,6 +69,17 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
   SUCCEED();
 }
 
+TEST(ThreadPool, ForEachIndexRunsEveryIndexOnce) {
+  // More indices than workers, fewer, and none: every index runs exactly
+  // once and the call returns only after all of them did.
+  thread_pool pool(3);
+  for (const std::size_t count : {std::size_t{0}, std::size_t{2}, std::size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(count);
+    pool.for_each_index(count, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(ParallelFor, DeterministicAcrossThreadCounts) {
   // The drivers' contract: body(i) results depend only on i, so any thread
   // count -- including the inlined threads == 1 path -- fills identically.
