@@ -7,12 +7,13 @@
 // into the caller's count row, kernel_emit passes it to the caller's sink.
 // Backends only fill the block's chosen-bin buffer.
 //
-// The fold loop is where the kernel actually hits the memory wall at
-// paper scale: `++row[chosen[i]]` is a random read-modify-write over a
-// 4 MB uint32 row (n = 10^6), so the driver issues a software prefetch a
-// fixed distance ahead -- the chosen buffer already holds the whole
-// block's targets, making this the rare case where the prefetch address
-// is known thousands of cycles early.
+// The fold is where the kernel meets the memory wall at paper scale: one
+// random read-modify-write per ball.  It counts in bytes (byte_counts), so
+// at n = 10^6 the row is 1 MB and shares the L2 with the 1 MB snapshot the
+// backends gather from; a 4 MB uint32 row did not fit next to it.  The
+// fold issues no software prefetch: the byte row mostly hits the L2, and
+// a prefetch a fixed distance ahead measured slower than none even on the
+// uint32 row.
 #include "core/kernel/kernel.hpp"
 
 #include <string>
@@ -27,11 +28,6 @@ namespace {
 /// the driver rounds it down.
 constexpr std::size_t kBlockBalls = 8192;
 static_assert(kBlockBalls % kernel_max_lanes == 0);
-
-/// How many fold iterations ahead the row prefetch runs: far enough to
-/// cover an LLC miss at ~1 fold per few cycles, near enough that the line
-/// is still resident when the increment arrives.
-constexpr std::size_t kFoldPrefetchDist = 48;
 
 kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   switch (resolved) {
@@ -50,15 +46,13 @@ kernel_detail::fill_fn pick_fill(kernel_isa resolved) noexcept {
   }
 }
 
-/// Folds one decided block into the caller's row, prefetching the
-/// increment targets kFoldPrefetchDist balls ahead.
-void fold_block(std::uint32_t* row, const std::uint32_t* chosen, std::size_t count) {
-  const std::size_t main = count > kFoldPrefetchDist ? count - kFoldPrefetchDist : 0;
-  for (std::size_t i = 0; i < main; ++i) {
-    __builtin_prefetch(&row[chosen[i + kFoldPrefetchDist]], 1, 1);
-    ++row[chosen[i]];
+/// Folds one decided block into the caller's byte counts.
+void fold_block(byte_counts& counts, const std::uint32_t* chosen, std::size_t count) {
+  std::uint8_t* low = counts.low.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t c = chosen[i];
+    if (++low[c] == 0) [[unlikely]] counts.carry(c);
   }
-  for (std::size_t i = main; i < count; ++i) ++row[chosen[i]];
 }
 
 /// The block loop shared by every entry point: `fill(state, threshold,
@@ -212,12 +206,41 @@ std::optional<kernel_isa> kernel_isa_from_name(std::string_view name) noexcept {
   return std::nullopt;
 }
 
+void byte_counts::reset(bin_count n) {
+  low.assign(n, 0);
+  carries.clear();
+  if (!wide.empty()) wide.assign(n, 0);
+  wrapped = false;
+}
+
+void byte_counts::carry(bin_index i) {
+  wrapped = true;
+  carries.push_back(i);
+  if (carries.size() > low.size() / 4) {
+    if (wide.size() != low.size()) wide.assign(low.size(), 0);
+    for (const bin_index c : carries) wide[c] += 256;
+    carries.clear();
+  }
+}
+
+void byte_counts::widen() {
+  const std::size_t n = low.size();
+  if (wide.size() != n) wide.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    wide[i] += low[i];
+    low[i] = 0;
+  }
+  for (const bin_index c : carries) wide[c] += 256;
+  carries.clear();
+  wrapped = false;
+}
+
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint32_t* row, step_count balls, std::uint64_t seed) {
-  NB_ASSERT(row != nullptr);
+                byte_counts& counts, step_count balls, std::uint64_t seed) {
+  NB_REQUIRE(counts.low.size() == n, "kernel counts must hold one entry per bin");
   run_uniform(isa, lanes, n, snap, balls, seed,
-              [row](const std::uint32_t* chosen, std::size_t count) {
-                fold_block(row, chosen, count);
+              [&counts](const std::uint32_t* chosen, std::size_t count) {
+                fold_block(counts, chosen, count);
               });
 }
 
@@ -227,12 +250,12 @@ void kernel_emit(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint
 }
 
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
+                      const std::uint64_t* thresh, const bin_index* alias, byte_counts& counts,
                       step_count balls, std::uint64_t seed) {
-  NB_ASSERT(row != nullptr);
+  NB_REQUIRE(counts.low.size() == n, "kernel counts must hold one entry per bin");
   run_alias(isa, lanes, n, snap, thresh, alias, balls, seed,
-            [row](const std::uint32_t* chosen, std::size_t count) {
-              fold_block(row, chosen, count);
+            [&counts](const std::uint32_t* chosen, std::size_t count) {
+              fold_block(counts, chosen, count);
             });
 }
 

@@ -16,7 +16,7 @@
 //
 // The decision is the canonical two-sample rule over the snapshot:
 // the less loaded of snap[i1]/snap[i2], ties broken by the top bit of c
-// (bit set -> i1), and the chosen bin's counter is incremented (kernel_run)
+// (bit set -> i1), and the chosen bin's count is incremented (kernel_run)
 // or the chosen bin is handed to the caller (kernel_emit).
 //
 // CONTRACT (enforced by tests/test_kernel.cpp): the accumulated counts (and
@@ -37,6 +37,7 @@
 #include <functional>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -83,11 +84,41 @@ inline constexpr std::size_t kernel_max_lanes = 64;
 /// buffer is reused for the next block once the sink returns.
 using kernel_sink = std::function<void(const std::uint32_t* chosen, std::size_t count)>;
 
+/// Per-bin ball counts of one window, a byte wide while no bin reaches
+/// 256: bin i holds low[i] + 256 x (its entries in `carries`) + wide[i].
+/// A fold that wraps a byte calls carry(i).  While no byte wrapped
+/// (`wrapped` false: every bin got fewer than 256 balls) `low` is the
+/// count row itself -- a quarter of a uint32 row's bytes, which the random
+/// increments and the commit both touch.  Whether a window wraps depends
+/// on its sampling, not only its size: at n = b = 10^6 a uniform window
+/// never comes near 256 balls in a bin, a zipf:1 window puts about 4,800
+/// into bin 0 (the balls that sample it twice).  Memory: `low` holds n
+/// bytes; `carries` is added into `wide` whenever it passes n / 4
+/// entries, so it stays near n bytes however many balls a window holds;
+/// `wide` (4n bytes) is sized by the first window that wraps and is all
+/// zero between windows.
+struct byte_counts {
+  std::vector<std::uint8_t> low;
+  std::vector<bin_index> carries;
+  std::vector<std::uint32_t> wide;
+  /// A byte wrapped since the last reset or widen.
+  bool wrapped = false;
+
+  /// Zero counts over n bins.
+  void reset(bin_count n);
+  /// Records a wrap of low[i] (the fold's rare path).
+  void carry(bin_index i);
+  /// Moves the counts into `wide` (wide[i] becomes bin i's count) and
+  /// zeroes `low`, `carries` and `wrapped`.
+  void widen();
+};
+
 /// Runs `balls` lane-interleaved decisions against `snap` (n bins, 8-bit
-/// offsets, 3 bytes of tail padding) and accumulates `++row[chosen]` per
-/// ball (the serial kernel engine's whole-window row).
+/// offsets, 3 bytes of tail padding) and adds one ball per decision to
+/// the chosen bin's count in `counts` (the serial kernel engine's
+/// whole-window counts, over n bins: see byte_counts::reset).
 void kernel_run(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                std::uint32_t* row, step_count balls, std::uint64_t seed);
+                byte_counts& counts, step_count balls, std::uint64_t seed);
 
 /// The same decisions as kernel_run, handed to `sink` block by block
 /// instead of folded into a row: folding every emitted bin gives
@@ -107,7 +138,7 @@ void kernel_emit(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint
 /// the snapshot; NEON vectorizes the draw generation and picks scalar --
 /// table lookups without hardware gathers don't pay).
 void kernel_run_alias(kernel_isa isa, std::size_t lanes, bin_count n, const std::uint8_t* snap,
-                      const std::uint64_t* thresh, const bin_index* alias, std::uint32_t* row,
+                      const std::uint64_t* thresh, const bin_index* alias, byte_counts& counts,
                       step_count balls, std::uint64_t seed);
 
 /// kernel_emit for the alias-sampled decisions of kernel_run_alias.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "util/hugepage.hpp"
 
@@ -170,7 +171,8 @@ void shard_deltas::sum_rows(std::vector<std::uint32_t>& out) const {
 // backends) so the compiler vectorizes it at each width; the rest of the
 // build stays at the portable baseline, and other hosts run the portable
 // instantiation.  Every instantiation computes the same integers, so the
-// target is execution only.
+// target is execution only.  The arrival passes are also instantiated per
+// count width (uint32 rows, and the kernel engine's byte rows).
 
 namespace {
 
@@ -181,11 +183,12 @@ enum class pass_kind {
   blend,    ///< add, plus the caller row's blend and bytes, counts zeroed
 };
 
+template <typename C>
 struct pass_args {
   load_t* loads = nullptr;
   std::size_t n = 0;
-  const std::uint32_t* counts = nullptr;  ///< add, release
-  std::uint32_t* consumed = nullptr;      ///< blend: the counts, zeroed by the pass
+  const C* counts = nullptr;  ///< add, release
+  C* consumed = nullptr;      ///< blend: the counts, zeroed by the pass
   load_t weight = 1;
   load_t* row = nullptr;        ///< blend
   std::uint8_t* off = nullptr;  ///< blend: the row's bytes, written against off_base
@@ -206,8 +209,8 @@ struct count_scan {
   std::uint32_t peak = 0;
 };
 
-template <pass_kind K>
-[[gnu::always_inline]] inline pass_bounds pass_body(const pass_args& a) {
+template <pass_kind K, typename C>
+[[gnu::always_inline]] inline pass_bounds pass_body(const pass_args<C>& a) {
   load_t* __restrict x = a.loads;
   const std::size_t n = a.n;
   const load_t w = a.weight;
@@ -216,12 +219,12 @@ template <pass_kind K>
   load_t rmn = std::numeric_limits<load_t>::max();
   load_t rmx = 0;
   if constexpr (K == pass_kind::blend) {
-    std::uint32_t* __restrict c = a.consumed;
+    C* __restrict c = a.consumed;
     load_t* __restrict row = a.row;
     std::uint8_t* __restrict off = a.off;
     const load_t base = a.off_base;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t count = c[i];
+      const C count = c[i];
       const load_t v = x[i] + static_cast<load_t>(count) * w;
       x[i] = v;
       mn = std::min(mn, v);
@@ -240,7 +243,7 @@ template <pass_kind K>
       c[i] = 0;
     }
   } else {
-    const std::uint32_t* __restrict c = a.counts;
+    const C* __restrict c = a.counts;
     for (std::size_t i = 0; i < n; ++i) {
       const load_t d = static_cast<load_t>(c[i]) * w;
       const load_t v = K == pass_kind::release ? x[i] - d : x[i] + d;
@@ -252,10 +255,10 @@ template <pass_kind K>
   return {mn, mx, rmn, rmx};
 }
 
-[[gnu::always_inline]] inline count_scan scan_body(const std::uint32_t* __restrict c,
-                                                   std::size_t n) {
+template <typename C>
+[[gnu::always_inline]] inline count_scan scan_body(const C* __restrict c, std::size_t n) {
   step_count total = 0;
-  std::uint32_t peak = 0;
+  C peak = 0;
   for (std::size_t i = 0; i < n; ++i) {
     total += c[i];
     peak = std::max(peak, c[i]);
@@ -268,24 +271,26 @@ template <pass_kind K>
 // The same target strings the kernel's AVX2 / AVX-512 backends build with.
 #define NB_TGT_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
 
-template <pass_kind K>
-NB_TGT_AVX2 pass_bounds pass_avx2(const pass_args& a) {
+template <pass_kind K, typename C>
+NB_TGT_AVX2 pass_bounds pass_avx2(const pass_args<C>& a) {
   return pass_body<K>(a);
 }
-template <pass_kind K>
-NB_TGT_AVX512 pass_bounds pass_avx512(const pass_args& a) {
+template <pass_kind K, typename C>
+NB_TGT_AVX512 pass_bounds pass_avx512(const pass_args<C>& a) {
   return pass_body<K>(a);
 }
-NB_TGT_AVX2 count_scan scan_avx2(const std::uint32_t* c, std::size_t n) {
+template <typename C>
+NB_TGT_AVX2 count_scan scan_avx2(const C* c, std::size_t n) {
   return scan_body(c, n);
 }
-NB_TGT_AVX512 count_scan scan_avx512(const std::uint32_t* c, std::size_t n) {
+template <typename C>
+NB_TGT_AVX512 count_scan scan_avx512(const C* c, std::size_t n) {
   return scan_body(c, n);
 }
 #endif
 
-template <pass_kind K>
-pass_bounds rewrite_loads(kernel_isa isa, const pass_args& a) {
+template <pass_kind K, typename C>
+pass_bounds rewrite_loads(kernel_isa isa, const pass_args<C>& a) {
   switch (resolve_kernel_isa(isa)) {
 #if defined(__x86_64__) || defined(__i386__)
     case kernel_isa::avx512:
@@ -298,7 +303,8 @@ pass_bounds rewrite_loads(kernel_isa isa, const pass_args& a) {
   }
 }
 
-count_scan scan_counts(kernel_isa isa, const std::uint32_t* c, std::size_t n) {
+template <typename C>
+count_scan scan_counts(kernel_isa isa, const C* c, std::size_t n) {
   switch (resolve_kernel_isa(isa)) {
 #if defined(__x86_64__) || defined(__i386__)
     case kernel_isa::avx512:
@@ -317,16 +323,20 @@ count_scan scan_counts(kernel_isa isa, const std::uint32_t* c, std::size_t n) {
 /// bin, each ball of weight `weight`; a blend (row != nullptr) also
 /// blends `row`, writes `off` against `off_base` and zeroes `consumed`,
 /// the same counts.
+template <typename C>
 struct load_state::window_pass {
-  const std::uint32_t* counts = nullptr;
-  std::uint32_t* consumed = nullptr;
+  static_assert(std::is_same_v<C, std::uint8_t> || std::is_same_v<C, std::uint32_t>,
+                "window counts are bytes or uint32");
+  const C* counts = nullptr;
+  C* consumed = nullptr;
   load_t weight = 1;
   load_t* row = nullptr;
   std::uint8_t* off = nullptr;
   load_t off_base = 0;
 };
 
-void load_state::check_increments(const std::uint32_t* add, step_count total, std::uint32_t peak,
+template <typename C>
+void load_state::check_increments(const C* add, step_count total, std::uint32_t peak,
                                   weight_t weight_per_ball) const {
   NB_REQUIRE(total <= max_run_balls - balls_,
              "window would exceed the run's ball ceiling (max_run_balls)");
@@ -350,7 +360,8 @@ void load_state::check_increments(const std::uint32_t* add, step_count total, st
   }
 }
 
-load_state::row_bounds load_state::commit_counts(const window_pass& pass, step_count balls,
+template <typename C>
+load_state::row_bounds load_state::commit_counts(const window_pass<C>& pass, step_count balls,
                                                  kernel_isa isa, const commit_plan& plan,
                                                  const std::function<void()>& on_accept) {
   NB_ASSERT(!bulk_);
@@ -378,8 +389,7 @@ load_state::row_bounds load_state::commit_counts(const window_pass& pass, step_c
   }
   const weight_t w = pass.weight;
   check_increments(pass.counts, total, peak, w);
-  NB_REQUIRE(balls < 0 || total == balls,
-             "window counts do not sum to the window's ball count");
+  NB_REQUIRE(total == balls, "window counts do not sum to the window's ball count");
   if (on_accept) on_accept();
   // Before the pass, which may zero the counts.
   lease_push_counts(pass.counts, w);
@@ -400,7 +410,7 @@ load_state::row_bounds load_state::commit_counts(const window_pass& pass, step_c
   plan.for_each(count, [&](std::size_t r) {
     const bin_index lo = ranges.lo(r, n);
     const bin_index hi = ranges.hi(r, n);
-    pass_args a;
+    pass_args<C> a;
     a.loads = loads_.data() + lo;
     a.n = hi - lo;
     a.weight = pass.weight;
@@ -458,29 +468,29 @@ load_state::row_bounds load_state::commit_counts(const window_pass& pass, step_c
   return {b.row_mn, b.row_mx};
 }
 
-void load_state::apply_increments(const std::vector<std::uint32_t>& add,
-                                  weight_t weight_per_ball, kernel_isa isa,
-                                  const commit_plan& plan) {
+template <typename C>
+void load_state::apply_increments(const std::vector<C>& add, weight_t weight_per_ball,
+                                  step_count balls, kernel_isa isa, const commit_plan& plan) {
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
-  window_pass pass;
+  window_pass<C> pass;
   pass.counts = add.data();
   pass.weight = static_cast<load_t>(weight_per_ball);
-  static_cast<void>(commit_counts(pass, -1, isa, plan, {}));
+  static_cast<void>(commit_counts(pass, balls, isa, plan, {}));
 }
 
-load_state::row_bounds load_state::commit_window(std::vector<std::uint32_t>& add,
-                                                 weight_t weight_per_ball, step_count balls,
-                                                 std::vector<load_t>& row, std::uint8_t* off,
-                                                 load_t off_base, kernel_isa isa,
-                                                 const commit_plan& plan,
+template <typename C>
+load_state::row_bounds load_state::commit_window(std::vector<C>& add, weight_t weight_per_ball,
+                                                 step_count balls, std::vector<load_t>& row,
+                                                 std::uint8_t* off, load_t off_base,
+                                                 kernel_isa isa, const commit_plan& plan,
                                                  const std::function<void()>& on_accept) {
   NB_REQUIRE(add.size() == loads_.size(), "increment vector must have one entry per bin");
   NB_REQUIRE(row.size() == loads_.size(), "blended row must have one entry per bin");
   NB_REQUIRE(weight_per_ball >= 1 && weight_per_ball <= max_ball_weight,
              "per-ball weight must be in [1, max_ball_weight]");
-  window_pass pass;
+  window_pass<C> pass;
   pass.counts = add.data();
   pass.consumed = add.data();
   pass.weight = static_cast<load_t>(weight_per_ball);
@@ -490,7 +500,8 @@ load_state::row_bounds load_state::commit_window(std::vector<std::uint32_t>& add
   return commit_counts(pass, balls, isa, plan, on_accept);
 }
 
-void load_state::lease_push_counts(const std::uint32_t* add, weight_t weight_per_ball) {
+template <typename C>
+void load_state::lease_push_counts(const C* add, weight_t weight_per_ball) {
   if (!lease_on_) return;
   // A merged window has no per-ball arrival order; record residents in
   // bin-index order.  That order is a pure function of the merged counts,
@@ -499,11 +510,23 @@ void load_state::lease_push_counts(const std::uint32_t* add, weight_t weight_per
   // contract) -- it just differs from the serial per-ball order, exactly
   // as the window's sampling already does.
   for (std::size_t i = 0; i < loads_.size(); ++i) {
-    for (std::uint32_t k = 0; k < add[i]; ++k) {
+    for (std::uint32_t k = 0; k < static_cast<std::uint32_t>(add[i]); ++k) {
       lease_push(static_cast<bin_index>(i), weight_per_ball);
     }
   }
 }
+
+// The two count widths the window commits take.
+template void load_state::apply_increments(const std::vector<std::uint8_t>&, weight_t,
+                                           step_count, kernel_isa, const commit_plan&);
+template void load_state::apply_increments(const std::vector<std::uint32_t>&, weight_t,
+                                           step_count, kernel_isa, const commit_plan&);
+template load_state::row_bounds load_state::commit_window(
+    std::vector<std::uint8_t>&, weight_t, step_count, std::vector<load_t>&, std::uint8_t*, load_t,
+    kernel_isa, const commit_plan&, const std::function<void()>&);
+template load_state::row_bounds load_state::commit_window(
+    std::vector<std::uint32_t>&, weight_t, step_count, std::vector<load_t>&, std::uint8_t*,
+    load_t, kernel_isa, const commit_plan&, const std::function<void()>&);
 
 void load_state::apply_increments(const std::vector<std::int64_t>& delta,
                                   step_count ball_delta) {
@@ -574,7 +597,7 @@ void load_state::apply_releases(const std::vector<std::uint32_t>& rel,
              "departure block of weight " + std::to_string(weight_per_ball) +
                  " per ball exceeds the resident extra weight (" +
                  std::to_string(extra_weight_) + ")");
-  pass_args a;
+  pass_args<std::uint32_t> a;
   a.loads = loads_.data();
   a.n = loads_.size();
   a.counts = rel.data();

@@ -549,7 +549,12 @@ class load_state {
   /// pass over bins by `plan` -- the validation scan, the update pass and
   /// the level histogram -- and reduce the per-range results in range
   /// order on the calling thread; the default plan is one serial range.
-  void apply_increments(const std::vector<std::uint32_t>& add, weight_t weight_per_ball,
+  /// They take the counts as uint32 or, for windows that put fewer than
+  /// 256 balls into every bin, as bytes (C = std::uint8_t): a quarter of
+  /// the bytes to scan and read, and the same integers.  sum(add) must
+  /// equal `balls`, the window's ball count.
+  template <typename C>
+  void apply_increments(const std::vector<C>& add, weight_t weight_per_ball, step_count balls,
                         kernel_isa isa, const commit_plan& plan = {});
 
   /// Signed generalization for churn windows: loads_[i] += delta[i]
@@ -579,8 +584,8 @@ class load_state {
     load_t mx;
   };
 
-  /// apply_increments(add, weight_per_ball, isa, plan) for a window of
-  /// `balls` balls (sum(add) must equal it) whose update pass also blends
+  /// apply_increments(add, weight_per_ball, balls, isa, plan) whose
+  /// update pass also blends
   /// a caller row and zeroes `add` for the engine's next window: row[i]
   /// becomes bin i's new load when the window put a ball into it
   /// (add[i] != 0) and keeps its value otherwise.  The pass writes
@@ -594,9 +599,10 @@ class load_state {
   /// passed validation and before anything is written -- for a caller
   /// that must update its own state first, and only if the window will be
   /// committed.
-  row_bounds commit_window(std::vector<std::uint32_t>& add, weight_t weight_per_ball,
-                           step_count balls, std::vector<load_t>& row, std::uint8_t* off,
-                           load_t off_base, kernel_isa isa, const commit_plan& plan = {},
+  template <typename C>
+  row_bounds commit_window(std::vector<C>& add, weight_t weight_per_ball, step_count balls,
+                           std::vector<load_t>& row, std::uint8_t* off, load_t off_base,
+                           kernel_isa isa, const commit_plan& plan = {},
                            const std::function<void()>& on_accept = {});
 
   /// ------------------------------------------------------------------
@@ -715,25 +721,29 @@ class load_state {
     levels_ok_ = levels_.rebuild(loads_);
   }
 
-  /// One arrival commit's update pass (defined with the passes).
+  /// One arrival commit's update pass over counts of type C (defined with
+  /// the passes).
+  template <typename C>
   struct window_pass;
 
   /// The range-split arrival commit behind apply_increments and
   /// commit_window: validation scan, `on_accept`, lease push, update pass,
   /// then the level histogram (and the byte re-offset of a blend).
-  /// `balls` < 0 accepts any count total.
-  row_bounds commit_counts(const window_pass& pass, step_count balls, kernel_isa isa,
+  template <typename C>
+  row_bounds commit_counts(const window_pass<C>& pass, step_count balls, kernel_isa isa,
                            const commit_plan& plan, const std::function<void()>& on_accept);
 
   /// The ceilings every arrival commit checks before any write (ball,
   /// total-weight and per-bin 32-bit), given the count row's sum `total`
   /// and largest entry `peak`.
-  void check_increments(const std::uint32_t* add, step_count total, std::uint32_t peak,
+  template <typename C>
+  void check_increments(const C* add, step_count total, std::uint32_t peak,
                         weight_t weight_per_ball) const;
 
   /// Records a merged window's residents in the lease ring (no-op while
   /// tracking is off).
-  void lease_push_counts(const std::uint32_t* add, weight_t weight_per_ball);
+  template <typename C>
+  void lease_push_counts(const C* add, weight_t weight_per_ball);
 
   /// Appends one resident ball to the lease ring, growing (with FIFO
   /// relinearization) when full.

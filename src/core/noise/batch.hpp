@@ -151,14 +151,18 @@ class b_batch {
   /// window) they are only recorded as touched so a later boundary refresh
   /// covers them, and the snapshot stays as it is.  Each counted ball
   /// deposits the model's (deterministic) weight; the engines never route
-  /// random weightings here.  Leaves `inc` zeroed; a refused window
-  /// (contract_error) leaves it and the process unchanged.
-  void commit_window(std::vector<std::uint32_t>& inc, step_count balls, kernel_isa isa,
+  /// random weightings here.  The counts are uint32 or bytes (the kernel
+  /// engine's rows); either way sum(inc) must equal `balls`, partial
+  /// windows included, since the batch boundary is keyed on the ball
+  /// count.  Leaves `inc` zeroed; a refused window (contract_error) leaves
+  /// it and the process unchanged.
+  template <typename C>
+  void commit_window(std::vector<C>& inc, step_count balls, kernel_isa isa,
                      const commit_plan& plan = {}) {
     NB_ASSERT(balls >= 1 && balls <= snapshot_window());
     const weight_t w = model_.weighting.fixed_weight();
     if (balls < snapshot_window()) {
-      state_.apply_increments(inc, w, isa, plan);
+      state_.apply_increments(inc, w, balls, isa, plan);
       const bin_count n = state_.n();
       for (bin_index i = 0; i < n; ++i) {
         if (inc[i] != 0) {

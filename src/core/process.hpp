@@ -401,6 +401,7 @@ concept window_probed = requires(const P p) {
 ///     commit's passes over bins split into bin ranges and where those
 ///     run) are the engine's and execution only.  Leaves `inc` zeroed, so
 ///     the engine reuses it for the next window without a clearing pass.
+///     The kernel engine also commits byte rows (kernel_window_parallel).
 template <typename P>
 concept window_parallel = allocation_process<P> && window_probed<P> &&
     requires(P p, rng_t& g, const std::uint8_t* snap, bin_index i,
@@ -418,11 +419,16 @@ concept window_parallel = allocation_process<P> && window_probed<P> &&
 /// against its snapshot_decide by the kernel test suite.  Only such
 /// processes run through the lane-interleaved allocation kernel
 /// (core/kernel/), which both engines' windows are built on; anything
-/// else takes the serial fused loop, with a one-time diagnostic.
+/// else takes the serial fused loop, with a one-time diagnostic.  Such a
+/// process's commit_window also takes the counts as bytes (the kernel
+/// engine's row when no bin got 256 or more balls).
 template <typename P>
-concept kernel_window_parallel = window_parallel<P> && requires {
-  requires P::kernel_min_select;
-};
+concept kernel_window_parallel = window_parallel<P> &&
+    requires(P p, std::vector<std::uint8_t>& inc, step_count k, kernel_isa isa,
+             const commit_plan& plan) {
+      requires P::kernel_min_select;
+      { p.commit_window(inc, k, isa, plan) } -> std::same_as<void>;
+    };
 
 namespace engine_detail {
 
@@ -957,7 +963,7 @@ struct kernel_options {
 
 /// Serial counterpart of shard_engine: every sufficiently large
 /// stale-snapshot window runs through the lane-interleaved allocation
-/// kernel -- no threads, no shard split, one uint32 increment vector --
+/// kernel -- no threads, no shard split, one byte-wide count row --
 /// so single-threaded drivers get the SIMD speedup too.  Sampling
 /// contract: one token per window from the master stream; lane l of that
 /// window draws from derive_seed(token, l).  For a fixed (seed, lanes)
@@ -997,8 +1003,8 @@ class kernel_engine {
                                                    "use_kernel")) {
         return;
       }
-      // No row-width cap needed: whole windows accumulate into uint32
-      // counters and a run is bounded by max_run_balls anyway.
+      // No row-width cap needed: a byte that wraps records a carry, and a
+      // run is bounded by max_run_balls anyway.
       engine_detail::walk_windows(
           process, rng, count, max_run_balls, opt_.min_window,
           [&](step_count k, const compact_snapshot& snapshot) {
@@ -1007,9 +1013,10 @@ class kernel_engine {
             // -- the alias lane path when the model samples non-uniformly.
             const std::uint64_t token = rng.next();
             const bin_count n = process.state().n();
-            // commit_window hands the row back zeroed; only a first
-            // window, a new n or a refused commit needs the clear.
-            if (!inc_clean_ || inc_.size() != n) inc_.assign(n, 0);
+            // commit_window hands its row back zeroed (and widen zeroes the
+            // byte row); only a first window, a new n or a refused commit
+            // needs the reset.
+            if (!inc_clean_ || inc_.low.size() != n) inc_.reset(n);
             inc_clean_ = false;
             const alias_table* table = nullptr;
             if constexpr (modeled_process<P>) {
@@ -1019,11 +1026,17 @@ class kernel_engine {
             }
             if (table != nullptr) {
               kernel_run_alias(isa_, opt_.lanes, n, snapshot.data(), table->thresholds(),
-                               table->aliases(), inc_.data(), k, token);
+                               table->aliases(), inc_, k, token);
             } else {
-              kernel_run(isa_, opt_.lanes, n, snapshot.data(), inc_.data(), k, token);
+              kernel_run(isa_, opt_.lanes, n, snapshot.data(), inc_, k, token);
             }
-            process.commit_window(inc_, k, isa_);
+            if (!inc_.wrapped) {
+              process.commit_window(inc_.low, k, isa_);
+            } else {
+              // Some bin got 256 or more balls: commit the uint32 row.
+              inc_.widen();
+              process.commit_window(inc_.wide, k, isa_);
+            }
             inc_clean_ = true;
           });
     }
@@ -1082,7 +1095,8 @@ class kernel_engine {
   /// Departure blocks' snapshot of the live loads (arrival windows read
   /// the process's own window snapshot).
   compact_snapshot snapshot_;
-  std::vector<std::uint32_t> inc_;
+  /// Arrival windows' counts.
+  byte_counts inc_;
   /// inc_ is all zero (the last commit_window returned normally).
   bool inc_clean_ = false;
   std::vector<std::uint32_t> rel_;

@@ -517,18 +517,24 @@ TEST(BBatch, RangeSplitCommitMatchesOneRangeCommit) {
 }
 
 TEST(BBatch, RefusedRangeSplitCommitChangesNothing) {
-  // A boundary window refused on the range-split path -- by the ball
-  // ceiling, by one bin's 32-bit load, or by counts not summing to the
-  // window -- must leave the process (stale row and touched list
-  // included) and the count row exactly as they were, whichever range
-  // and ISA would have refused it.  Each case breaks only its own check.
+  // A window refused on the range-split path -- a boundary window by the
+  // ball ceiling, by one bin's 32-bit load or by counts not summing to the
+  // window, and a partial window by counts not summing to it (which would
+  // otherwise move the batch boundary) -- must leave the process (stale
+  // row and touched list included) and the count row exactly as they
+  // were, whichever range and ISA would have refused it, for uint32 and
+  // (where the counts fit) byte rows.  Each case breaks only its own
+  // check.
   thread_pool pool(3);
   const auto huge = static_cast<std::uint32_t>(20'000'000);  // * 128 passes int32
   for (const kernel_isa isa : nb::testing::supported_isas()) {
     for (const bin_count n : {1u, 7u, 17u, 100003u}) {
       const auto bins = static_cast<step_count>(n);
-      for (int c = 0; c < 3; ++c) {
-        const step_count window = c == 0 ? max_run_balls + 1 : c == 1 ? huge : bins;
+      for (int c = 0; c < 4; ++c) {
+        const step_count window = c == 0   ? max_run_balls + 1
+                                  : c == 1 ? huge
+                                  : c == 2 ? bins
+                                           : 2 * bins;
         b_batch p(n, bins + window);
         alloc_model model;
         model.weighting = ball_weighting::fixed(128);
@@ -537,21 +543,33 @@ TEST(BBatch, RefusedRangeSplitCommitChangesNothing) {
         std::vector<std::uint32_t> partial = window_counts(n, bins, 0, n, rng);
         p.commit_window(partial, bins, isa);  // leaves touched bins behind
         ASSERT_EQ(p.snapshot_window(), window);
+        // Case 3 claims a partial window one ball longer than its counts.
+        const step_count claimed = c == 3 ? window - 1 : window;
         std::vector<std::uint32_t> refused(n, 0);
-        if (c == 2) {
-          refused = window_counts(n, window - 1, 0, n, rng);
+        if (c >= 2) {
+          refused = window_counts(n, claimed - 1, 0, n, rng);
         } else {
           refused[n / 2] = static_cast<std::uint32_t>(window);
         }
+        const bool bytes_fit = std::all_of(refused.begin(), refused.end(),
+                                           [](std::uint32_t x) { return x < 256; });
         for (const unsigned shift : range_shifts(n)) {
           SCOPED_TRACE(pass_trace(isa, n) + ", case " + std::to_string(c) + ", shift " +
                        std::to_string(shift));
           std::vector<std::uint32_t> inc = refused;
           b_batch before = p;
-          EXPECT_THROW(p.commit_window(inc, window, isa, ranged_plan(shift, &pool)),
+          EXPECT_THROW(p.commit_window(inc, claimed, isa, ranged_plan(shift, &pool)),
                        contract_error);
           EXPECT_EQ(inc, refused);
           ASSERT_TRUE(same_commit_state(p, before));
+          if (bytes_fit) {
+            const std::vector<std::uint8_t> refused_bytes(refused.begin(), refused.end());
+            std::vector<std::uint8_t> inc_bytes = refused_bytes;
+            EXPECT_THROW(p.commit_window(inc_bytes, claimed, isa, ranged_plan(shift, &pool)),
+                         contract_error);
+            EXPECT_EQ(inc_bytes, refused_bytes);
+            ASSERT_TRUE(same_commit_state(p, before));
+          }
         }
       }
     }

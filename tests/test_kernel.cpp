@@ -15,6 +15,7 @@
 //       silently between releases.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "core/kernel/kernel_common.hpp"
@@ -38,9 +39,11 @@ std::vector<std::uint8_t> make_snapshot(bin_count n) {
 std::vector<std::uint32_t> kernel_counts(kernel_isa isa, std::size_t lanes, bin_count n,
                                          const std::vector<std::uint8_t>& snap, step_count balls,
                                          std::uint64_t seed) {
-  std::vector<std::uint32_t> row(n, 0);
-  kernel_run(isa, lanes, n, snap.data(), row.data(), balls, seed);
-  return row;
+  byte_counts counts;
+  counts.reset(n);
+  kernel_run(isa, lanes, n, snap.data(), counts, balls, seed);
+  counts.widen();
+  return counts.wide;
 }
 
 // ---------------------------------------------------------------------------
@@ -190,10 +193,12 @@ std::vector<std::uint32_t> kernel_alias_counts(kernel_isa isa, std::size_t lanes
                                                const std::vector<std::uint8_t>& snap,
                                                const alias_table& table, step_count balls,
                                                std::uint64_t seed) {
-  std::vector<std::uint32_t> row(n, 0);
-  kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), row.data(),
-                   balls, seed);
-  return row;
+  byte_counts counts;
+  counts.reset(n);
+  kernel_run_alias(isa, lanes, n, snap.data(), table.thresholds(), table.aliases(), counts, balls,
+                   seed);
+  counts.widen();
+  return counts.wide;
 }
 
 TEST(KernelAlias, BackendsBitIdenticalAcrossShapes) {
@@ -326,6 +331,68 @@ TEST(KernelAlias, EmittedChoicesFoldToRunCounts) {
       }
     }
   }
+}
+
+/// Checks that kernel_run's widened byte counts equal the uint32 fold of
+/// kernel_emit's sequence, on every backend, for carry-free windows
+/// (balls = n) and carry-heavy ones (up to 10^5 balls into 1-64 bins,
+/// whose carry lists pass n / 4 entries and spill into the uint32 row),
+/// and that the counts are reused cleanly: a second window into the same
+/// byte_counts, after the commit's zeroing of `wide`, counts the same.
+void expect_widened_counts_match_emitted_fold(const alias_table* (*table_for)(bin_count)) {
+  struct shape {
+    bin_count n;
+    step_count balls;
+  };
+  const shape shapes[] = {{4096, 4096}, {100003, 100003}, {1, 100000},
+                          {7, 100000},  {64, 100000},     {64, 255 * 64}};
+  for (const shape& sh : shapes) {
+    const auto snap = make_snapshot(sh.n);
+    const alias_table* table = table_for(sh.n);
+    for (const kernel_isa isa : supported_isas()) {
+      std::vector<std::uint32_t> folded(sh.n, 0);
+      for (const std::uint32_t c : emitted(isa, 8, sh.n, snap, table, sh.balls, 11)) ++folded[c];
+      byte_counts counts;
+      counts.reset(sh.n);
+      for (int window = 0; window < 2; ++window) {
+        if (table != nullptr) {
+          kernel_run_alias(isa, 8, sh.n, snap.data(), table->thresholds(), table->aliases(),
+                           counts, sh.balls, 11);
+        } else {
+          kernel_run(isa, 8, sh.n, snap.data(), counts, sh.balls, 11);
+        }
+        const bool carry_free = sh.balls <= static_cast<step_count>(sh.n);
+        EXPECT_EQ(counts.wrapped, !carry_free);
+        EXPECT_LE(counts.carries.size(), sh.n / 4);
+        if (sh.n <= 7) {
+          EXPECT_EQ(counts.wide.size(), sh.n);  // spilled
+        }
+        counts.widen();
+        EXPECT_EQ(counts.wide, folded) << kernel_isa_name(isa) << " n " << sh.n << " balls "
+                                       << sh.balls << " window " << window;
+        EXPECT_EQ(counts.low, std::vector<std::uint8_t>(sh.n, 0));
+        EXPECT_TRUE(counts.carries.empty());
+        EXPECT_FALSE(counts.wrapped);
+        std::fill(counts.wide.begin(), counts.wide.end(), 0u);  // as the commit leaves it
+      }
+    }
+  }
+}
+
+TEST(Kernel, ByteCountsWidenToEmittedFold) {
+  expect_widened_counts_match_emitted_fold([](bin_count) -> const alias_table* {
+    return nullptr;
+  });
+}
+
+TEST(KernelAlias, ByteCountsWidenToEmittedFold) {
+  expect_widened_counts_match_emitted_fold([](bin_count n) -> const alias_table* {
+    static std::vector<std::unique_ptr<alias_table>> tables;
+    std::vector<double> weights(n);
+    for (bin_count i = 0; i < n; ++i) weights[i] = static_cast<double>((i % 7) + 1);
+    tables.push_back(std::make_unique<alias_table>(weights));
+    return tables.back().get();
+  });
 }
 
 TEST(Kernel, LaneCountIsASamplingParameter) {
@@ -473,6 +540,55 @@ TEST(KernelEngine, GapDistributionMatchesSerialBulkPath) {
   EXPECT_NEAR(serial_mean / runs, kernel_mean / runs, 1.5);
 }
 
+TEST(KernelEngine, GoldenLoadsDigest) {
+  // Frozen FNV-1a folds of the loads and the reported (stale) loads after
+  // m balls through the 8-lane engine, run as two calls so a partial
+  // window's touched bins meet the next boundary.  They pin the engine's
+  // sampling contract across uniform and alias sampling, unit and fixed
+  // weights and partial windows.  The last two cases put about 1,024 balls
+  // into every bin per window, so their windows count past a byte.
+  struct golden_case {
+    bin_count n;
+    step_count b;
+    step_count m;
+    const char* weighting;
+    const char* sampler;
+    std::uint64_t digest;
+  };
+  const golden_case cases[] = {
+      {4096, 4096, 8 * 4096 + 3000, "unit", "uniform", 8857136117032778883ULL},
+      {4096, 4096, 8 * 4096 + 3000, "unit", "zipf:1", 2420321821284552683ULL},
+      {4096, 4096, 8 * 4096 + 3000, "fixed:3", "uniform", 13028744313023992443ULL},
+      {4096, 4096, 8 * 4096 + 3000, "fixed:3", "zipf:1", 3955282710146095895ULL},
+      {100003, 100003, 3 * 100003 + 50001, "unit", "uniform", 9615947909792585424ULL},
+      {100003, 100003, 3 * 100003 + 50001, "unit", "zipf:1", 4614019372691308884ULL},
+      {100003, 100003, 3 * 100003 + 50001, "fixed:3", "uniform", 9261906520251750402ULL},
+      {100003, 100003, 3 * 100003 + 50001, "fixed:3", "zipf:1", 10914380077953886910ULL},
+      {1024, 1 << 20, 2 * (1 << 20) + 300000, "unit", "uniform", 3211402878037618785ULL},
+      {1024, 1 << 20, 2 * (1 << 20) + 300000, "fixed:3", "zipf:1", 7577701852071839011ULL},
+  };
+  for (const kernel_isa isa : supported_isas()) {
+    kernel_engine engine(kernel_options{.lanes = 8, .isa = isa});
+    for (const golden_case& c : cases) {
+      b_batch process(c.n, c.b);
+      process.set_model(make_model(c.weighting, c.sampler, c.n));
+      rng_t rng(20261);
+      engine.step_many(process, rng, c.m / 3);
+      engine.step_many(process, rng, c.m - c.m / 3);
+      std::uint64_t fnv = 0xCBF29CE484222325ULL;
+      const auto fold = [&fnv](load_t x) {
+        fnv ^= static_cast<std::uint32_t>(x);
+        fnv *= 0x100000001B3ULL;
+      };
+      for (bin_index i = 0; i < c.n; ++i) fold(process.state().load(i));
+      for (bin_index i = 0; i < c.n; ++i) fold(process.reported_load(i));
+      EXPECT_EQ(process.state().balls(), c.m);
+      EXPECT_EQ(fnv, c.digest) << kernel_isa_name(engine.isa()) << " n " << c.n << " b " << c.b
+                               << " " << c.weighting << "/" << c.sampler;
+    }
+  }
+}
+
 std::vector<load_t> shard_kernel_loads(std::size_t threads, kernel_isa isa, bin_count n,
                                        step_count m, std::uint64_t seed) {
   b_batch process(n, n);
@@ -608,14 +724,15 @@ TEST(KernelIsa, UnsupportedForcedIsaWarnsOnceOnFallback) {
 
 TEST(Kernel, RejectsContractViolations) {
   const auto snap = make_snapshot(8);
-  std::vector<std::uint32_t> row(8, 0);
-  EXPECT_THROW(kernel_run(kernel_isa::scalar, 0, 8, snap.data(), row.data(), 10, 1),
+  byte_counts counts;
+  counts.reset(8);
+  EXPECT_THROW(kernel_run(kernel_isa::scalar, 0, 8, snap.data(), counts, 10, 1), contract_error);
+  EXPECT_THROW(kernel_run(kernel_isa::scalar, kernel_max_lanes + 1, 8, snap.data(), counts, 10, 1),
                contract_error);
-  EXPECT_THROW(
-      kernel_run(kernel_isa::scalar, kernel_max_lanes + 1, 8, snap.data(), row.data(), 10, 1),
-      contract_error);
-  EXPECT_THROW(kernel_run(kernel_isa::scalar, 8, 0, snap.data(), row.data(), 10, 1),
-               contract_error);
+  EXPECT_THROW(kernel_run(kernel_isa::scalar, 8, 9, snap.data(), counts, 10, 1),
+               contract_error);  // counts sized for another n
+  counts.reset(0);
+  EXPECT_THROW(kernel_run(kernel_isa::scalar, 8, 0, snap.data(), counts, 10, 1), contract_error);
   EXPECT_THROW(static_cast<void>(shard_engine(shard_options{.lanes = 0})), contract_error);
   EXPECT_THROW(static_cast<void>(kernel_engine(kernel_options{.lanes = 65})), contract_error);
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <numeric>
 
 #include "test_support.hpp"
 
@@ -215,10 +216,11 @@ TEST(LevelIndex, RebuildMatchesIncrementalMaintenanceAndRecount) {
       ASSERT_TRUE(bounded_rebuild.rebuild(s.loads(), s.min_load(), s.max_load()));
       expect_same_index(bounded_rebuild, s.levels());
       const std::vector<std::uint32_t> add(s.loads().begin(), s.loads().end());
+      const step_count window = std::accumulate(add.begin(), add.end(), step_count{0});
       for (const kernel_isa isa : nb::testing::supported_isas()) {
         SCOPED_TRACE(std::string("isa ") + kernel_isa_name(isa));
         load_state merged(n);
-        merged.apply_increments(add, 1, isa);
+        merged.apply_increments(add, 1, window, isa);
         ASSERT_EQ(merged.loads(), s.loads());
         expect_same_index(merged.levels(), s.levels());
       }
@@ -246,7 +248,8 @@ TEST(LevelIndex, WindowCommitsMatchPerBallMaintenance) {
           add[i] = static_cast<std::uint32_t>(bounded(rng, round == 5 ? 400 : 4));
           for (std::uint32_t k = 0; k < add[i]; ++k) per_ball.allocate(i, w);
         }
-        merged.apply_increments(add, w, isa);
+        merged.apply_increments(add, w, std::accumulate(add.begin(), add.end(), step_count{0}),
+                                isa);
         ASSERT_EQ(merged.loads(), per_ball.loads());
         expect_levels_consistent(merged);
         expect_same_index(merged.levels(), per_ball.levels());

@@ -117,7 +117,7 @@ TEST(LoadState, ApplyIncrementsMatchesAllocateLoop) {
   load_state bulk(6);
   load_state serial(6);
   const std::vector<std::uint32_t> inc = {3, 0, 1, 7, 0, 2};
-  bulk.apply_increments(inc, 1, kernel_isa::auto_detect);
+  bulk.apply_increments(inc, 1, 13, kernel_isa::auto_detect);
   for (bin_index i = 0; i < 6; ++i) {
     for (std::uint32_t k = 0; k < inc[i]; ++k) serial.allocate(i);
   }
@@ -127,7 +127,12 @@ TEST(LoadState, ApplyIncrementsMatchesAllocateLoop) {
   EXPECT_EQ(bulk.min_load(), serial.min_load());
   EXPECT_EQ(bulk.overloaded_count(), serial.overloaded_count());
   EXPECT_EQ(bulk.sorted_normalized_desc(), serial.sorted_normalized_desc());
-  EXPECT_THROW(bulk.apply_increments({1, 2}, 1, kernel_isa::auto_detect), contract_error);  // wrong size
+  const std::vector<std::uint32_t> short_row = {1, 2};
+  EXPECT_THROW(bulk.apply_increments(short_row, 1, 3, kernel_isa::auto_detect),
+               contract_error);  // wrong size
+  EXPECT_THROW(bulk.apply_increments(inc, 1, 12, kernel_isa::auto_detect),
+               contract_error);  // counts do not sum to the ball count
+  EXPECT_EQ(bulk.loads(), serial.loads());
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "test_support.hpp"
@@ -254,8 +255,9 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
     const weight_t total = state.total_weight();
     const load_t mn = state.min_load();
     const load_t mx = state.max_load();
+    const step_count window = std::accumulate(add.begin(), add.end(), step_count{0});
     for (const kernel_isa isa : nb::testing::supported_isas()) {
-      EXPECT_THROW(state.apply_increments(add, weight, isa), contract_error);
+      EXPECT_THROW(state.apply_increments(add, weight, window, isa), contract_error);
       EXPECT_EQ(state.loads(), loads);
       EXPECT_EQ(state.balls(), balls);
       EXPECT_EQ(state.total_weight(), total);
@@ -264,6 +266,13 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
     }
   };
   expect_refused(s, {1, 0}, w);
+  // A byte count row (the kernel engine's) is refused the same way.
+  const std::vector<load_t> loads_before = s.loads();
+  for (const kernel_isa isa : nb::testing::supported_isas()) {
+    EXPECT_THROW(s.apply_increments(std::vector<std::uint8_t>{1, 0}, w, 1, isa), contract_error);
+    EXPECT_EQ(s.loads(), loads_before);
+    EXPECT_EQ(s.total_weight(), safe * w);
+  }
   // 127 * 2^24 + 2e7 unit balls crosses INT32_MAX in bin 0 even though
   // the ball and weight totals stay far below their ceilings.
   expect_refused(s, {20000000, 0}, 1);
@@ -273,7 +282,7 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
   expect_refused(fresh, {3000000000u, 0, 0, 0}, 1);
   expect_refused(fresh, {1500000000u, 1500000000u, 0, 0}, 1);
   const std::vector<std::uint32_t> add = {0, 1};
-  s.apply_increments(add, w, kernel_isa::auto_detect);  // the other bin still has room
+  s.apply_increments(add, w, 1, kernel_isa::auto_detect);  // the other bin still has room
   EXPECT_EQ(static_cast<weight_t>(s.load(1)), w);
 
   // A b-Batch window commit runs the same guard before its pass writes
@@ -317,6 +326,13 @@ TEST(WeightedLoadState, PerBinOverflowGuardFires) {
     ASSERT_EQ(fill, std::vector<std::uint32_t>(2, 0));
     expect_batch_refused(p, {1, 0}, 1, isa);  // partial: 2 balls short of the boundary
     expect_batch_refused(p, {2, 0}, 2, isa);  // ends the batch
+    for (const step_count balls : {step_count{1}, step_count{2}}) {  // partial, boundary
+      std::vector<std::uint8_t> bytes = {static_cast<std::uint8_t>(balls), 0};
+      const std::vector<load_t> loads = p.state().loads();
+      EXPECT_THROW(p.commit_window(bytes, balls, isa), contract_error);
+      EXPECT_EQ(p.state().loads(), loads);
+      EXPECT_EQ(bytes, (std::vector<std::uint8_t>{static_cast<std::uint8_t>(balls), 0}));
+    }
     std::vector<std::uint32_t> last = {0, 2};
     p.commit_window(last, 2, isa);  // the other bin still has room
     EXPECT_EQ(static_cast<weight_t>(p.state().load(1)), 2 * w);
